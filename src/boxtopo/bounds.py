@@ -33,7 +33,7 @@ from .homology import (
     HomologyProfile,
     S0_PROFILE,
     collapse_reduce,
-    homological_connectivity,
+    connectivity_from_profile,
     pi1_trivial_heuristic,
     profile_to_obj,
     reduced_homology,
@@ -94,47 +94,34 @@ class VerificationOutcome:
         }
 
 
-def _connectivity_with_caveat(K: SimplicialComplex) -> tuple[int, bool]:
-    """Homological connectivity plus the surrogate caveat flag."""
-    conn = homological_connectivity(K)
-    if conn <= 0:
-        return conn, False
-    small = collapse_reduce(K)
-    return conn, not pi1_trivial_heuristic(small)
+def _bound(G: Graph, bound: str, build, offset: int) -> BoundReport:
+    """conn(build(G)) + offset, computing the complex's homology once."""
+    if G.n == 0:
+        raise ValueError("chromatic bounds need a graph with at least one vertex")
+    K = build(G).complex
+    profile = reduced_homology(K)
+    conn = connectivity_from_profile(profile, K.dim)
+    return BoundReport(
+        graph=G.descriptor(),
+        bound=bound,
+        value=conn + offset,
+        caveat=conn > 0 and not pi1_trivial_heuristic(collapse_reduce(K)),
+        evidence=profile,
+        note="degenerate input: box complex is empty (no edges)" if K.is_empty() else None,
+    )
 
 
 def lovasz_bound(G: Graph) -> BoundReport:
     """connectivity(box complex) + 3; a lower bound for the chromatic number."""
-    Z = box_complex(G)
-    K = Z.complex
-    conn, caveat = _connectivity_with_caveat(K)
-    note = "degenerate input: box complex is empty (no edges)" if K.is_empty() else None
-    return BoundReport(
-        graph=G.descriptor(),
-        bound="lovasz",
-        value=conn + 3,
-        caveat=caveat,
-        evidence=reduced_homology(K),
-        note=note,
-    )
+    return _bound(G, "lovasz", box_complex, 3)
 
 
 def sarkaria_bound(G: Graph) -> BoundReport:
-    """connectivity(box complex without CN conditions) + 2."""
-    Z = box0_complex(G)
-    K = Z.complex
-    conn, caveat = _connectivity_with_caveat(K)
-    return BoundReport(
-        graph=G.descriptor(),
-        bound="sarkaria",
-        value=conn + 2,
-        caveat=caveat,
-        evidence=reduced_homology(K),
-    )
+    """connectivity(box complex without CN conditions) + 2.
 
-
-def _profile_table(p: HomologyProfile) -> dict:
-    return profile_to_obj(p)
+    B0(G) of a graph with a vertex is never empty, so it carries no note.
+    """
+    return _bound(G, "sarkaria", box0_complex, 2)
 
 
 def suspension_shift(profile: HomologyProfile, *, of_empty: bool) -> HomologyProfile:
@@ -160,8 +147,8 @@ def verify_suspension_relation(G: Graph) -> VerificationOutcome:
         input=G.descriptor(),
         passed=passed,
         details={
-            "expected": {"profile": _profile_table(expected), "chi": 2 - chi_b},
-            "observed": {"profile": _profile_table(prof_b0), "chi": chi_b0},
+            "expected": {"profile": profile_to_obj(expected), "chi": 2 - chi_b},
+            "observed": {"profile": profile_to_obj(prof_b0), "chi": chi_b0},
         },
     )
 
@@ -175,8 +162,8 @@ def verify_shore_retract(G: Graph) -> VerificationOutcome:
         input=G.descriptor(),
         passed=prof_n == prof_b,
         details={
-            "expected": {"profile": _profile_table(prof_n)},
-            "observed": {"profile": _profile_table(prof_b)},
+            "expected": {"profile": profile_to_obj(prof_n)},
+            "observed": {"profile": profile_to_obj(prof_b)},
         },
     )
 
@@ -222,10 +209,10 @@ def verify_construction_roundtrip(Z: Z2Complex) -> VerificationOutcome:
         input=f"Z2 complex |V|={len(Z.complex.vertices)} f={Z.complex.f_vector()}",
         passed=passed,
         details={
-            "expected": {"profile": _profile_table(target)},
+            "expected": {"profile": profile_to_obj(target)},
             "observed": {
-                "neighborhood profile": _profile_table(prof_n),
-                "box profile": _profile_table(prof_b),
+                "neighborhood profile": profile_to_obj(prof_n),
+                "box profile": profile_to_obj(prof_b),
                 "graph": G.descriptor(),
             },
         },
@@ -256,13 +243,14 @@ def verify_cone_graph(G: Graph, *, chi_guard: int = 20) -> VerificationOutcome:
     """Adding a dominating vertex suspends the box complex homology and
     raises the chromatic number by one (the chi check obeys the guard)."""
     Gp = add_cone_vertex(G)
-    prof_b = reduced_homology(box_complex(G).complex)
+    B = box_complex(G).complex
+    prof_b = reduced_homology(B)
     prof_bp = reduced_homology(box_complex(Gp).complex)
-    expected = suspension_shift(prof_b, of_empty=box_complex(G).complex.is_empty())
+    expected = suspension_shift(prof_b, of_empty=B.is_empty())
     homology_ok = prof_bp == expected
     details: dict = {
-        "expected": {"profile": _profile_table(expected)},
-        "observed": {"profile": _profile_table(prof_bp)},
+        "expected": {"profile": profile_to_obj(expected)},
+        "observed": {"profile": profile_to_obj(prof_bp)},
     }
     chi_ok = True
     if Gp.n <= chi_guard:
@@ -290,8 +278,8 @@ def verify_hom_equivalence(G: Graph) -> VerificationOutcome:
         input=G.descriptor(),
         passed=prof_hom == prof_b,
         details={
-            "expected": {"profile": _profile_table(prof_b)},
-            "observed": {"profile": _profile_table(prof_hom)},
+            "expected": {"profile": profile_to_obj(prof_b)},
+            "observed": {"profile": profile_to_obj(prof_hom)},
         },
     )
 

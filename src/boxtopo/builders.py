@@ -18,6 +18,7 @@ from .simplicial import (
     SimplicialComplex,
     Z2Complex,
     from_facets,
+    order_complex,
 )
 
 
@@ -27,16 +28,6 @@ class ShoreVertex:
 
     vertex: int | None
     shore: int | str  # 0 | 1 | "apex-x" | "apex-y"
-
-    def encode(self) -> int | None:
-        if isinstance(self.shore, int):
-            assert self.vertex is not None
-            return 2 * self.vertex + self.shore
-        return None
-
-
-def shore_label(v: int, shore: int) -> int:
-    return 2 * v + shore
 
 
 def decode_shore_label(label: int, n: int) -> ShoreVertex:
@@ -148,28 +139,8 @@ def hom_k2_order_complex(G: Graph) -> Z2Complex:
     """
     elements = hom_pairs(G)
     index = {p: i for i, p in enumerate(elements)}
-
-    def leq(p: tuple[Face, Face], q: tuple[Face, Face]) -> bool:
-        return set(p[0]) <= set(q[0]) and set(p[1]) <= set(q[1])
-
-    above: list[list[int]] = [[] for _ in elements]
-    for i, p in enumerate(elements):
-        for j, q in enumerate(elements):
-            if i != j and leq(p, q):
-                above[i].append(j)
-
-    # each chain is built exactly once, in increasing poset order
-    chains: list[tuple[int, ...]] = []
-
-    def extend(chain: list[int]):
-        chains.append(tuple(sorted(chain)))
-        for j in above[chain[-1]]:
-            extend(chain + [j])
-
-    for i in range(len(elements)):
-        extend([i])
-
-    K = SimplicialComplex(chains)
+    # componentwise inclusion of pairs is inclusion of their shore encodings
+    K = order_complex(_encode_pair(A, B) for A, B in elements)
     mapping = {index[(a, b)]: index[(b, a)] for a, b in elements}
     return Z2Complex(K, Involution(mapping))
 

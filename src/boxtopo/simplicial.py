@@ -80,17 +80,13 @@ class SimplicialComplex:
         return tuple(counts)
 
     def facets(self) -> list[Face]:
-        """Maximal faces, sorted."""
-        out = []
-        for f in self.faces:
-            fs = set(f)
-            if not any(len(g) == len(f) + 1 and fs < set(g) for g in self.faces):
-                out.append(f)
-        return sorted(out)
+        """Maximal faces, sorted.
 
-    def induced(self, vertices: Iterable[int]) -> "SimplicialComplex":
-        keep = set(vertices)
-        return SimplicialComplex(f for f in self.faces if keep.issuperset(f))
+        In a downward-closed face set a face is maximal exactly when it is
+        no codimension-one face of another.
+        """
+        covered = {f[:i] + f[i + 1:] for f in self.faces if len(f) > 1 for i in range(len(f))}
+        return sorted(self.faces - covered)
 
     def relabel(self, mapping: dict[int, int]) -> "SimplicialComplex":
         if len(set(mapping[v] for v in self.vertices)) != len(self.vertices):
@@ -114,10 +110,6 @@ class Involution:
 
     def __setattr__(self, name, value):
         raise AttributeError("Involution is immutable")
-
-    @classmethod
-    def from_dict(cls, d: dict[int, int]) -> "Involution":
-        return cls(d)
 
     def as_dict(self) -> dict[int, int]:
         return dict(self._map)
@@ -223,32 +215,33 @@ def sd_vertex_faces(K: SimplicialComplex) -> list[Face]:
     return sorted(K.faces, key=lambda f: (len(f), f))
 
 
+def order_complex(sets: Iterable[Iterable[int]]) -> SimplicialComplex:
+    """Chains of a family of distinct vertex sets under strict inclusion.
+
+    Vertex i of the result stands for the i-th set of the family.
+    """
+    members = [frozenset(s) for s in sets]
+    above = [[j for j, t in enumerate(members) if s < t] for s in members]
+    # each chain is built exactly once, upwards from its smallest member
+    chains: list[Face] = []
+
+    def extend(chain: Face):
+        chains.append(chain)
+        for j in above[chain[-1]]:
+            extend(chain + (j,))
+
+    for i in range(len(members)):
+        extend((i,))
+    return SimplicialComplex(chains)
+
+
 def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
     """Chains of faces of K under strict inclusion, on dense fresh labels.
 
     Labels follow :func:`sd_vertex_faces`; downstream constructions
     consume only the relabeled complex.
     """
-    order = sd_vertex_faces(K)
-    index = {f: i for i, f in enumerate(order)}
-    # successor lists in the strict-inclusion poset
-    above: dict[Face, list[Face]] = {f: [] for f in order}
-    for f in order:
-        fs = set(f)
-        for g in order:
-            if len(g) > len(f) and fs < set(g):
-                above[f].append(g)
-
-    chains: list[tuple[int, ...]] = []
-
-    def extend(chain: list[Face]):
-        chains.append(tuple(index[f] for f in chain))
-        for g in above[chain[-1]]:
-            extend(chain + [g])
-
-    for f in order:
-        extend([f])
-    return SimplicialComplex(chains)
+    return order_complex(sd_vertex_faces(K))
 
 
 def subdivide_involution(Z: Z2Complex) -> Z2Complex:
@@ -258,7 +251,7 @@ def subdivide_involution(Z: Z2Complex) -> Z2Complex:
     act = Z.action
     mapping = {index[f]: index[act.on_face(f)] for f in order}
     sd = barycentric_subdivision(Z.complex)
-    return Z2Complex(sd, Involution.from_dict(mapping))
+    return Z2Complex(sd, Involution(mapping))
 
 
 def fresh_labels(K: SimplicialComplex, count: int) -> tuple[int, ...]:
@@ -296,7 +289,7 @@ def z2_suspension(Z: Z2Complex) -> Z2Complex:
     mapping = Z._restricted_map()
     mapping[x] = y
     mapping[y] = x
-    return Z2Complex(susp, Involution.from_dict(mapping))
+    return Z2Complex(susp, Involution(mapping))
 
 
 def star(K: SimplicialComplex, sigma: Iterable[int]) -> SimplicialComplex:
@@ -457,15 +450,30 @@ def complex_to_obj(
     return obj
 
 
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(v, int) for v in x)
+
+
 def complex_from_obj(obj: dict) -> tuple[SimplicialComplex, Involution | None]:
-    K = from_facets(obj.get("facets", []))
+    """Parse the complex JSON format; a malformed shape raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError("complex JSON must be an object")
+    facets = obj.get("facets", [])
+    if not isinstance(facets, list) or not all(_is_int_list(f) for f in facets):
+        raise ValueError('"facets" must be a list of integer lists')
+    K = from_facets(facets)
     declared = obj.get("vertices")
+    if declared is not None and not _is_int_list(declared):
+        raise ValueError('"vertices" must be an integer list')
     if declared is not None and sorted(declared) != list(K.vertices):
         raise ValueError("declared vertices disagree with the facets")
     action = None
     if "involution" in obj:
-        raw = obj["involution"]["map"]
-        action = Involution.from_dict({int(v): int(w) for v, w in raw.items()})
+        inv = obj["involution"]
+        raw = inv.get("map") if isinstance(inv, dict) else None
+        if not isinstance(raw, dict) or not all(isinstance(w, int) for w in raw.values()):
+            raise ValueError('"involution" must be {"map": {"v": w, ...}} with integer images')
+        action = Involution({int(v): w for v, w in raw.items()})
     return K, action
 
 

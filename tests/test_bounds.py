@@ -19,6 +19,7 @@ from boxtopo.bounds import (
     verify_suspension_relation,
 )
 from boxtopo.graphs import (
+    Graph,
     chromatic_number,
     complete_graph,
     cone_k,
@@ -60,6 +61,12 @@ def test_lovasz_petersen():
 def test_lovasz_degenerate_no_edges():
     rep = lovasz_bound(complete_graph(1))
     assert rep.value == 1 and rep.note is not None
+
+
+def test_bounds_reject_the_null_graph():
+    for bound in (lovasz_bound, sarkaria_bound):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            bound(Graph(0, []))
 
 
 def test_sarkaria_k2():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -144,7 +146,53 @@ def test_emitted_complex_reparses_to_equal_object(tmp_path):
     assert Z2Complex(K, action) == box_complex(cycle_graph(5))
 
 
-def test_parse_failure_exit_2(tmp_path):
+def test_parse_failure_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run(tmp_path, "homology", str(bad)) == 2
+    for command, text in [
+        ("homology", "{not json"),
+        ("bounds", '{"n": 3, "edges": [1, 2]}'),
+        ("homology", '{"facets": [0, 1]}'),
+        ("complex sd", '{"facets": [[0], [1]], "involution": [0, 1]}'),
+    ]:
+        bad.write_text(text)
+        assert run(tmp_path, *command.split(), str(bad)) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_null_graph_bounds_exit_2(tmp_path, capsys):
+    g = tmp_path / "null.json"
+    g.write_text('{"n": 0, "edges": []}')
+    assert run(tmp_path, "bounds", str(g)) == 2
+    assert "at least one vertex" in capsys.readouterr().err
+
+
+# Output bytes are part of the CLI contract.  These sha256 digests were
+# recorded before the bounds, the verify suites and the order-complex builders
+# were each reduced to one code path, and must not move.
+PINNED_DIGESTS = {
+    "verify": "111aa2e8a8cafa5e79dc756f347f8719000d8d451298a7a6a7c9404b2a60dada",
+    "box": "aadf15b1298d7fa0400a8087931609694b5ff22f8229fa221e5355f2b38ea4e3",
+    "sd": "7a3bb551e5cad8cf273820786749d22ce94aeb5e1609b49b8258f0c7ec892990",
+    "hom": "acccf187b16bd34acf94d4dcd0e95dece47871660cef5d87c64962ca980ce6f5",
+    "susp": "d28872320174beed93480df479ec3a039a48b2f53624f5beec5553d005e80eae",
+    "bounds": "4ad03afe267b614b7d758d3446e1f5e387a6031991f22d88f3ad8f39138138e8",
+}
+
+
+def test_output_bytes_match_pinned_digests(tmp_path):
+    def out(name, *argv):
+        path = tmp_path / f"{name}.json"
+        assert run(tmp_path, *argv, "-o", str(path)) == 0
+        return str(path)
+
+    g, kg = out("g", "gen", "cycle", "5"), out("kg", "gen", "kneser", "5", "2")
+    paths = {
+        "verify": out("verify", "verify", "all", "--max-n", "5"),
+        "box": out("box", "complex", "box", g),
+        "hom": out("hom", "complex", "hom", g),
+        "bounds": out("bounds", "bounds", kg, "--exact"),
+    }
+    paths["sd"] = out("sd", "complex", "sd", paths["box"])
+    paths["susp"] = out("susp", "complex", "susp", paths["hom"])
+    digests = {k: hashlib.sha256(Path(p).read_bytes()).hexdigest() for k, p in paths.items()}
+    assert digests == PINNED_DIGESTS

@@ -6,6 +6,8 @@ import itertools
 
 import pytest
 
+from boxtopo.builders import box_complex, hom_k2_order_complex
+from boxtopo.graphs import Graph
 from boxtopo.simplicial import (
     Involution,
     SimplicialComplex,
@@ -59,8 +61,13 @@ def test_constructor_rejects_open_face_set():
 
 
 def test_closure_idempotence():
-    for K in (TRIANGLE_BOUNDARY, SOLID_TRIANGLE, TETRA_BOUNDARY, FOUR_CYCLE):
-        assert from_facets(K.facets()) == K
+    G = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)])
+    sd_box = barycentric_subdivision(box_complex(G).complex)
+    hom = hom_k2_order_complex(G).complex
+    for K in (TRIANGLE_BOUNDARY, SOLID_TRIANGLE, TETRA_BOUNDARY, FOUR_CYCLE, sd_box, hom):
+        facets = K.facets()
+        assert from_facets(facets) == K
+        assert not any(set(f) < set(g) for f in facets for g in facets)
 
 
 def test_euler_characteristic():
