@@ -33,7 +33,7 @@ from .homology import (
     HomologyProfile,
     S0_PROFILE,
     collapse_reduce,
-    connectivity_from_profile,
+    homological_connectivity,
     pi1_trivial_heuristic,
     profile_to_obj,
     reduced_homology,
@@ -95,18 +95,17 @@ class VerificationOutcome:
 
 
 def _bound(G: Graph, bound: str, build, offset: int) -> BoundReport:
-    """conn(build(G)) + offset, computing the complex's homology once."""
+    """conn(build(G)) + offset, with the complex's reduced homology as evidence."""
     if G.n == 0:
         raise ValueError("chromatic bounds need a graph with at least one vertex")
     K = build(G).complex
-    profile = reduced_homology(K)
-    conn = connectivity_from_profile(profile, K.dim)
+    conn = homological_connectivity(K)
     return BoundReport(
         graph=G.descriptor(),
         bound=bound,
         value=conn + offset,
         caveat=conn > 0 and not pi1_trivial_heuristic(collapse_reduce(K)),
-        evidence=profile,
+        evidence=reduced_homology(K),
         note="degenerate input: box complex is empty (no edges)" if K.is_empty() else None,
     )
 

@@ -393,18 +393,16 @@ def homological_connectivity(K: SimplicialComplex) -> int:
     every degree up to dim vanishes (an acyclic complex) the result is
     dim; there is nothing above to test.
     """
-    return connectivity_from_profile(reduced_homology(K), K.dim)
-
-
-def connectivity_from_profile(profile: HomologyProfile, dim: int) -> int:
-    """:func:`homological_connectivity` of a complex of dimension `dim`
-    whose reduced homology is `profile` (dim -1 is the empty complex)."""
-    if dim < 0:
+    if K.is_empty():
         return -2
-    for k, entry in enumerate(profile.entries):
-        if entry != (0, ()):
-            return k - 1
-    return dim
+    prof = reduced_homology(K)
+    k = -1
+    for i in range(K.dim + 1):
+        if prof.betti(i) == 0 and not prof.torsion(i):
+            k = i
+        else:
+            break
+    return k
 
 
 # ---------------------------------------------------------------------------
