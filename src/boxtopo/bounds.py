@@ -99,13 +99,15 @@ def _bound(G: Graph, bound: str, build, offset: int) -> BoundReport:
     if G.n == 0:
         raise ValueError("chromatic bounds need a graph with at least one vertex")
     K = build(G).complex
-    conn = homological_connectivity(K)
+    L = collapse_reduce(K)
+    # L ~ K; the free Z2 action makes K never acyclic (Smith), so conn(L) == conn(K)
+    conn = homological_connectivity(L)
     return BoundReport(
         graph=G.descriptor(),
         bound=bound,
         value=conn + offset,
-        caveat=conn > 0 and not pi1_trivial_heuristic(collapse_reduce(K)),
-        evidence=reduced_homology(K),
+        caveat=conn > 0 and not pi1_trivial_heuristic(L),
+        evidence=reduced_homology(L),
         note="degenerate input: box complex is empty (no edges)" if K.is_empty() else None,
     )
 

@@ -343,8 +343,9 @@ def graph_to_obj(G: Graph) -> dict:
 def graph_from_obj(obj: dict) -> Graph:
     """Parse the graph JSON format; a malformed shape raises ValueError."""
     n, edges = (obj.get("n"), obj.get("edges")) if isinstance(obj, dict) else (None, None)
-    if not isinstance(n, int) or not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)
+    # type(x) is int: JSON true/false parse to bool, a subclass of int
+    if type(n) is not int or not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)
         for e in edges
     ):
         raise ValueError('graph JSON must be {"n": int, "edges": [[u, v], ...]}')

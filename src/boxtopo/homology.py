@@ -2,9 +2,9 @@
 
 All linear algebra is exact: matrices are plain lists of Python ints,
 so elimination entry growth is handled by arbitrary precision
-arithmetic.  An elementary-collapse pass runs transparently before the
-normal-form work once a complex is large enough; both pipelines compute
-the same reduced homology.
+arithmetic.  Every complex is reduced by elementary collapses before its
+boundary matrices are built; collapses preserve the homotopy type, so
+the reduced homology is that of the input.
 
 The reduced convention is used throughout: a point has trivial homology
 in every degree, m components give betti_0 = m - 1, and the empty
@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable
 
 from .simplicial import Face, SimplicialComplex
 
 Matrix = list[list[int]]
-
-COLLAPSE_THRESHOLD = 400
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +110,12 @@ class SnfResult:
 def smith_normal_form(M: Matrix) -> SnfResult:
     """Smith normal form by unimodular row/column operations.
 
-    Pivoting is deterministic: smallest nonzero absolute value, ties
-    broken by row-major position.  The divisibility chain is enforced on
-    the diagonal afterwards (diag(a,b) ~ diag(gcd, lcm)).
+    Pivoting is deterministic: smallest nonzero absolute value in the
+    remaining block, ties broken by row-major position.  The pivot's
+    column is cleared with floor-division remainders, then its row; a
+    nonzero remainder is smaller than the pivot and is picked next.  The
+    divisibility chain is enforced on the diagonal afterwards
+    (diag(a,b) ~ diag(gcd, lcm)).
     """
     A = [list(row) for row in M]
     m = len(A)
@@ -121,15 +123,7 @@ def smith_normal_form(M: Matrix) -> SnfResult:
     diag: list[int] = []
     t = 0
     while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            Ai = A[i]
-            for j in range(t, n):
-                a = Ai[j]
-                if a and (best is None or abs(a) < best):
-                    best = abs(a)
-                    pivot = (i, j)
+        pivot = _smallest_entry(A, t)
         if pivot is None:
             break
         pi, pj = pivot
@@ -138,51 +132,27 @@ def smith_normal_form(M: Matrix) -> SnfResult:
         if pj != t:
             for row in A:
                 row[t], row[pj] = row[pj], row[t]
-        while True:
-            # clear column t with floor-division remainders, then row t;
-            # a column op only touches row t because the column is clean
-            p = A[t][t]
-            At = A[t]
-            dirty = False
-            for i in range(t + 1, m):
-                Ai = A[i]
-                if Ai[t]:
-                    q = Ai[t] // p
-                    if q:
-                        for j in range(t, n):
-                            Ai[j] -= q * At[j]
-                    if Ai[t]:
-                        dirty = True
-            if not dirty:
-                for j in range(t + 1, n):
-                    if At[j]:
-                        q = At[j] // p
-                        if q:
-                            for i in range(t, m):
-                                A[i][j] -= q * A[i][t]
-                        if At[j]:
-                            dirty = True
-            if not dirty:
-                break
-            # a remainder smaller than the pivot exists; re-pivot on it
-            best = abs(p)
-            pivot = (t, t)
-            for i in range(t, m):
-                if A[i][t] and abs(A[i][t]) < best:
-                    best = abs(A[i][t])
-                    pivot = (i, t)
-            for j in range(t, n):
-                if A[t][j] and abs(A[t][j]) < best:
-                    best = abs(A[t][j])
-                    pivot = (t, j)
-            pi, pj = pivot
-            if pi != t:
-                A[t], A[pi] = A[pi], A[t]
-            if pj != t:
-                for row in A:
-                    row[t], row[pj] = row[pj], row[t]
-        diag.append(abs(A[t][t]))
-        t += 1
+        At = A[t]
+        p = At[t]
+        clean = True
+        for i in range(t + 1, m):
+            Ai = A[i]
+            if Ai[t]:
+                q = Ai[t] // p
+                if q:
+                    for j in range(t, n):
+                        Ai[j] -= q * At[j]
+                clean = clean and not Ai[t]
+        if clean:
+            # column t is zero below and above the pivot, so clearing an
+            # entry of row t by a column operation changes only that entry
+            for j in range(t + 1, n):
+                if At[j]:
+                    At[j] %= p
+                    clean = clean and not At[j]
+        if clean:
+            diag.append(abs(p))
+            t += 1
 
     # enforce the divisibility chain on the diagonal
     changed = True
@@ -192,16 +162,29 @@ def smith_normal_form(M: Matrix) -> SnfResult:
             for j in range(i + 1, len(diag)):
                 a, b = diag[i], diag[j]
                 if b % a:
-                    g = _gcd(a, b)
+                    g = gcd(a, b)
                     diag[i], diag[j] = g, a * b // g
                     changed = True
     return SnfResult(tuple(sorted(diag)))
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _smallest_entry(A: Matrix, t: int) -> tuple[int, int] | None:
+    """Position of the first smallest nonzero |entry| in A[t:][t:], row-major.
+
+    No entry is smaller than 1, so the first entry of absolute value 1 ends
+    the scan without changing the choice.
+    """
+    best = pivot = None
+    for i in range(t, len(A)):
+        Ai = A[i]
+        for j in range(t, len(Ai)):
+            a = Ai[j]
+            if a and (best is None or abs(a) < best):
+                if abs(a) == 1:
+                    return i, j
+                best = abs(a)
+                pivot = (i, j)
+    return pivot
 
 
 def bareiss_rank(M: Matrix) -> int:
@@ -323,14 +306,11 @@ def collapse_reduce(K: SimplicialComplex) -> SimplicialComplex:
             for i in range(len(f)):
                 count[f[:i] + f[i + 1:]] += 1
 
-    def unique_coface(f: Face) -> Face | None:
+    def unique_coface(f: Face) -> Face:
+        # exists whenever count[f] == 1: each collapse keeps faces downward closed
         fs = set(f)
-        for v in verts:
-            if v not in fs:
-                g = tuple(sorted(f + (v,)))
-                if g in faces:
-                    return g
-        return None
+        cofaces = (tuple(sorted(f + (v,))) for v in verts if v not in fs)
+        return next(g for g in cofaces if g in faces)
 
     queue = deque(f for f, c in count.items() if c == 1)
     while queue:
@@ -338,8 +318,6 @@ def collapse_reduce(K: SimplicialComplex) -> SimplicialComplex:
         if f not in faces or count[f] != 1:
             continue
         tau = unique_coface(f)
-        if tau is None:
-            continue
         faces.discard(f)
         faces.discard(tau)
         for g in (f, tau):
@@ -357,16 +335,14 @@ def collapse_reduce(K: SimplicialComplex) -> SimplicialComplex:
 # Reduced homology
 # ---------------------------------------------------------------------------
 
-def reduced_homology(K: SimplicialComplex, *, collapse: bool | None = None) -> HomologyProfile:
+def reduced_homology(K: SimplicialComplex, *, collapse: bool = True) -> HomologyProfile:
     """Reduced integer homology from Smith normal forms of the boundaries.
 
-    collapse=None applies the elementary-collapse pass only above
-    COLLAPSE_THRESHOLD faces; True/False force it on or off.
+    K is first reduced by collapse_reduce; collapse=False skips that pass
+    and serves as the reference path in tests.
     """
     if K.is_empty():
         return ZERO_PROFILE
-    if collapse is None:
-        collapse = len(K.faces) > COLLAPSE_THRESHOLD
     if collapse:
         K = collapse_reduce(K)
     cc = boundary_matrices(K)

@@ -451,7 +451,8 @@ def complex_to_obj(
 
 
 def _is_int_list(x) -> bool:
-    return isinstance(x, list) and all(isinstance(v, int) for v in x)
+    # type(v) is int: JSON true/false parse to bool, a subclass of int
+    return isinstance(x, list) and all(type(v) is int for v in x)
 
 
 def complex_from_obj(obj: dict) -> tuple[SimplicialComplex, Involution | None]:
@@ -471,7 +472,7 @@ def complex_from_obj(obj: dict) -> tuple[SimplicialComplex, Involution | None]:
     if "involution" in obj:
         inv = obj["involution"]
         raw = inv.get("map") if isinstance(inv, dict) else None
-        if not isinstance(raw, dict) or not all(isinstance(w, int) for w in raw.values()):
+        if not isinstance(raw, dict) or not _is_int_list(list(raw.values())):
             raise ValueError('"involution" must be {"map": {"v": w, ...}} with integer images')
         action = Involution({int(v): w for v, w in raw.items()})
     return K, action

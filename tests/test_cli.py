@@ -153,6 +153,11 @@ def test_parse_failure_exit_2(tmp_path, capsys):
         ("bounds", '{"n": 3, "edges": [1, 2]}'),
         ("homology", '{"facets": [0, 1]}'),
         ("complex sd", '{"facets": [[0], [1]], "involution": [0, 1]}'),
+        # JSON booleans are not integers
+        ("bounds", '{"n": 2, "edges": [[false, true]]}'),
+        ("bounds", '{"n": true, "edges": []}'),
+        ("homology", '{"facets": [[true, 2]]}'),
+        ("complex sd", '{"facets": [[0], [1]], "involution": {"map": {"0": true, "1": false}}}'),
     ]:
         bad.write_text(text)
         assert run(tmp_path, *command.split(), str(bad)) == 2
@@ -168,7 +173,10 @@ def test_null_graph_bounds_exit_2(tmp_path, capsys):
 
 # Output bytes are part of the CLI contract.  These sha256 digests were
 # recorded before the bounds, the verify suites and the order-complex builders
-# were each reduced to one code path, and must not move.
+# were each reduced to one code path, and before every complex was collapsed
+# ahead of its homology, and must not move.  "bounds_c5" has connectivity > 0,
+# so its pi1 check runs; the hom and sd files (40 and 200 faces) were small
+# enough that their homology used to be computed without collapsing them.
 PINNED_DIGESTS = {
     "verify": "111aa2e8a8cafa5e79dc756f347f8719000d8d451298a7a6a7c9404b2a60dada",
     "box": "aadf15b1298d7fa0400a8087931609694b5ff22f8229fa221e5355f2b38ea4e3",
@@ -176,6 +184,9 @@ PINNED_DIGESTS = {
     "hom": "acccf187b16bd34acf94d4dcd0e95dece47871660cef5d87c64962ca980ce6f5",
     "susp": "d28872320174beed93480df479ec3a039a48b2f53624f5beec5553d005e80eae",
     "bounds": "4ad03afe267b614b7d758d3446e1f5e387a6031991f22d88f3ad8f39138138e8",
+    "bounds_c5": "2b7917b1c79e4a433eab2edfd793c49bd38aee7aa99807e17cc9c62ba91288dc",
+    "hom_homology": "a1599b5db083b8f1900267341b0654db16c4196301c683f152f2e289d3cf063a",
+    "sd_homology": "a1599b5db083b8f1900267341b0654db16c4196301c683f152f2e289d3cf063a",
 }
 
 
@@ -191,8 +202,11 @@ def test_output_bytes_match_pinned_digests(tmp_path):
         "box": out("box", "complex", "box", g),
         "hom": out("hom", "complex", "hom", g),
         "bounds": out("bounds", "bounds", kg, "--exact"),
+        "bounds_c5": out("bounds_c5", "bounds", g, "--exact"),
     }
     paths["sd"] = out("sd", "complex", "sd", paths["box"])
     paths["susp"] = out("susp", "complex", "susp", paths["hom"])
+    paths["hom_homology"] = out("hom_homology", "homology", paths["hom"])
+    paths["sd_homology"] = out("sd_homology", "homology", paths["sd"])
     digests = {k: hashlib.sha256(Path(p).read_bytes()).hexdigest() for k, p in paths.items()}
     assert digests == PINNED_DIGESTS

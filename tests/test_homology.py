@@ -11,9 +11,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxtopo.builders import box_complex, box0_complex, neighborhood_complex
-from boxtopo.graphs import complete_graph, connected_graph_corpus, cycle_graph
+from boxtopo.graphs import complete_graph, connected_graph_corpus, cycle_graph, kneser_graph
 from boxtopo.homology import (
     HomologyProfile,
     bareiss_rank,
@@ -175,6 +177,15 @@ def test_collapse_preserves_homology_on_corpus():
         assert reduced_homology(K, collapse=True) == reduced_homology(K, collapse=False)
 
 
+def test_bound_path_on_collapsed_complex_matches_reference():
+    # the bounds read connectivity and evidence off collapse_reduce(K)
+    for G in connected_graph_corpus(5) + [kneser_graph(5, 2)]:
+        for K in (box_complex(G).complex, box0_complex(G).complex):
+            L = collapse_reduce(K)
+            assert homological_connectivity(L) == homological_connectivity(K)
+            assert reduced_homology(L) == reduced_homology(K, collapse=False)
+
+
 def test_snf_betti_matches_rational_rank_on_corpus():
     for G in connected_graph_corpus(4):
         for K in (box_complex(G).complex, box0_complex(G).complex):
@@ -184,6 +195,33 @@ def test_snf_betti_matches_rational_rank_on_corpus():
             for k in range(1, K.dim + 1):
                 M = cc.boundary(k)
                 assert smith_normal_form(M).rank == bareiss_rank(M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_snf_invariant_under_unimodular_operations(data):
+    m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    entries = st.integers(-6, 6)
+    M = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    base = smith_normal_form(M)
+    assert base.rank == bareiss_rank(M)
+    # (on rows?, kind: 0 add a multiple, 1 swap, 2 negate, i, j, multiple)
+    ops = st.tuples(st.booleans(), st.integers(0, 2), st.integers(0, 4), st.integers(0, 4),
+                    st.integers(-3, 3))
+    A = [row[:] for row in M]
+    for on_rows, kind, i, j, c in data.draw(st.lists(ops, max_size=10)):
+        if not on_rows:
+            A = [list(col) for col in zip(*A)]
+        i, j = i % len(A), j % len(A)
+        if kind == 0 and i != j:
+            A[i] = [x + c * y for x, y in zip(A[i], A[j])]
+        elif kind == 1:
+            A[i], A[j] = A[j], A[i]
+        elif kind == 2:
+            A[i] = [-x for x in A[i]]
+        if not on_rows:
+            A = [list(col) for col in zip(*A)]
+    assert smith_normal_form(A).factors == base.factors
 
 
 def test_homological_connectivity():
