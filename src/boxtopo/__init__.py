@@ -36,7 +36,6 @@ from .graphs import (
     kneser_graph,
 )
 from .builders import (
-    ShoreVertex,
     box_complex,
     box0_complex,
     cones_over_shores_complex,

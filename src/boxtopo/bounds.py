@@ -23,6 +23,7 @@ from .builders import (
     shore_subcomplex,
 )
 from .graphs import (
+    COLORING_GUARD,
     Graph,
     add_cone_vertex,
     all_labeled_graphs,
@@ -240,7 +241,7 @@ def verify_nerve_identity(Z: Z2Complex) -> VerificationOutcome:
     )
 
 
-def verify_cone_graph(G: Graph, *, chi_guard: int = 20) -> VerificationOutcome:
+def verify_cone_graph(G: Graph) -> VerificationOutcome:
     """Adding a dominating vertex suspends the box complex homology and
     raises the chromatic number by one (the chi check obeys the guard)."""
     Gp = add_cone_vertex(G)
@@ -254,7 +255,7 @@ def verify_cone_graph(G: Graph, *, chi_guard: int = 20) -> VerificationOutcome:
         "observed": {"profile": profile_to_obj(prof_bp)},
     }
     chi_ok = True
-    if Gp.n <= chi_guard:
+    if Gp.n <= COLORING_GUARD:
         chi_g = chromatic_number(G)
         chi_gp = chromatic_number(Gp)
         chi_ok = chi_gp == chi_g + 1
@@ -306,13 +307,14 @@ def verify_shore_identity(G: Graph) -> VerificationOutcome:
     )
 
 
-def neighborhood_realizability_search(
-    K: SimplicialComplex, n: int, *, max_n: int = 6
-) -> Graph | None:
+SEARCH_GUARD = 6
+
+
+def neighborhood_realizability_search(K: SimplicialComplex, n: int) -> Graph | None:
     """Exhaustive search for a graph on n labeled vertices whose
     neighborhood complex is isomorphic to K; None when there is none."""
-    if n > max_n:
-        raise ValueError(f"search over 2^C({n},2) graphs exceeds the guard ({max_n})")
+    if n > SEARCH_GUARD:
+        raise ValueError(f"search over 2^C({n},2) graphs exceeds the guard ({SEARCH_GUARD})")
     for G in all_labeled_graphs(n):
         N = neighborhood_complex(G)
         if len(N.vertices) != len(K.vertices) or N.f_vector() != K.f_vector():

@@ -9,7 +9,6 @@ shores (2n and 2n+1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .graphs import Graph, common_neighbors
 from .simplicial import (
@@ -20,24 +19,6 @@ from .simplicial import (
     from_facets,
     order_complex,
 )
-
-
-@dataclass(frozen=True)
-class ShoreVertex:
-    """Decoded box-complex vertex: a graph vertex on shore 0 or 1, or an apex."""
-
-    vertex: int | None
-    shore: int | str  # 0 | 1 | "apex-x" | "apex-y"
-
-
-def decode_shore_label(label: int, n: int) -> ShoreVertex:
-    if label == 2 * n:
-        return ShoreVertex(None, "apex-x")
-    if label == 2 * n + 1:
-        return ShoreVertex(None, "apex-y")
-    if 0 <= label < 2 * n:
-        return ShoreVertex(label // 2, label % 2)
-    raise ValueError(f"label {label} is not a shore vertex for n={n}")
 
 
 def _encode_pair(A, B) -> Face:
@@ -179,11 +160,10 @@ def shore_subcomplex(Z: Z2Complex, shore: int) -> SimplicialComplex:
 
 def shore_vertex_records(Z: Z2Complex, n: int) -> list[dict]:
     """Serialization records for box-type complexes: one per vertex label."""
-    records = []
-    for label in Z.complex.vertices:
-        sv = decode_shore_label(label, n)
-        rec: dict = {"label": label, "shore": sv.shore}
-        if sv.vertex is not None:
-            rec["v"] = sv.vertex
-        records.append(rec)
-    return records
+    apexes = {2 * n: "apex-x", 2 * n + 1: "apex-y"}
+    return [
+        {"label": label, "shore": apexes[label]}
+        if label in apexes
+        else {"label": label, "shore": label % 2, "v": label // 2}
+        for label in Z.complex.vertices
+    ]

@@ -136,6 +136,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 BOUNDS_GUARD = 16  # box-type complexes hold ~2^n faces per shore
+VERIFY_GUARD = 7  # the 8-vertex corpus alone takes minutes to build
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -230,7 +231,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     suites = list(ALL_SUITES) if args.suite == "all" else [args.suite]
     caps = {suite: min(args.max_n, ALL_SUITES[suite][1]) for suite in suites}
-    corpus = graphs.connected_graph_corpus(max(caps.values()))
+    corpus_n = max(caps.values())
+    if corpus_n > VERIFY_GUARD:
+        raise ValueError(
+            f"a corpus of graphs on up to {corpus_n} vertices exceeds "
+            f"the verify guard ({VERIFY_GUARD})"
+        )
+    corpus = graphs.connected_graph_corpus(corpus_n)
     outcomes: list[bd.VerificationOutcome] = []
     for suite in suites:
         check, _, inputs = ALL_SUITES[suite]

@@ -179,19 +179,22 @@ def _k_colorable(G: Graph, k: int) -> bool:
     return go(0, 0)
 
 
-def chromatic_number(G: Graph, *, max_vertices: int = 20, force: bool = False) -> int:
+COLORING_GUARD = 20
+
+
+def chromatic_number(G: Graph, *, force: bool = False) -> int:
     """Exact chromatic number by branch and bound.
 
     A greedy clique gives the lower bound, DSATUR the upper bound, and
     k-colorability backtracking closes the gap.  Guarded at
-    `max_vertices` (override with force=True).
+    `COLORING_GUARD` vertices (override with force=True).
     """
     if G.n < 1:
         raise ValueError("chromatic number needs at least one vertex")
-    if G.n > max_vertices and not force:
+    if G.n > COLORING_GUARD and not force:
         raise ValueError(
             f"graph on {G.n} vertices exceeds the exact-coloring guard "
-            f"({max_vertices}); pass force=True to override"
+            f"({COLORING_GUARD}); pass force=True to override"
         )
     lo = greedy_clique_lower_bound(G)
     hi, _ = dsatur_upper_bound(G)
@@ -311,16 +314,23 @@ def _canonical_edge_set(G: Graph) -> frozenset[Edge]:
 
 
 def connected_graphs(n: int) -> list[Graph]:
-    """All connected graphs on exactly n vertices, one per isomorphism class."""
+    """All connected graphs on exactly n vertices, one per isomorphism class.
+
+    Each class on n - 1 vertices gains vertex n - 1, joined to every
+    nonempty subset of the others; deleting a leaf of a spanning tree
+    leaves a connected graph, so every class on n vertices arises this way.
+    """
+    if n <= 1:
+        return [Graph(n, [])]
     seen: set[frozenset[Edge]] = set()
     out = []
-    for G in all_labeled_graphs(n):
-        if not is_connected(G):
-            continue
-        key = _canonical_edge_set(G)
-        if key not in seen:
-            seen.add(key)
-            out.append(Graph(n, key))
+    for H in connected_graphs(n - 1):
+        for mask in range(1, 1 << (n - 1)):
+            join = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
+            key = _canonical_edge_set(Graph(n, [*H.edges, *join]))
+            if key not in seen:
+                seen.add(key)
+                out.append(Graph(n, key))
     return out
 
 

@@ -337,24 +337,21 @@ def _vertex_signature(K: SimplicialComplex) -> dict[int, tuple]:
     return {v: tuple(sorted(s)) for v, s in sig.items()}
 
 
-def isomorphic(
-    K1: SimplicialComplex,
-    K2: SimplicialComplex,
-    *,
-    max_vertices: int = 12,
-    force: bool = False,
-) -> bool:
+ISOMORPHISM_GUARD = 12
+
+
+def isomorphic(K1: SimplicialComplex, K2: SimplicialComplex, *, force: bool = False) -> bool:
     """Exact isomorphism test by pruned backtracking over vertex bijections.
 
-    Exponential by design; refuses inputs above `max_vertices` unless
-    `force` is set.
+    Exponential by design; refuses inputs above `ISOMORPHISM_GUARD`
+    vertices unless `force` is set.
     """
     if len(K1.vertices) != len(K2.vertices) or K1.f_vector() != K2.f_vector():
         return False
-    if len(K1.vertices) > max_vertices and not force:
+    if len(K1.vertices) > ISOMORPHISM_GUARD and not force:
         raise ValueError(
             f"isomorphism search on {len(K1.vertices)} vertices exceeds the "
-            f"guard ({max_vertices}); pass force=True to override"
+            f"guard ({ISOMORPHISM_GUARD}); pass force=True to override"
         )
     sig1 = _vertex_signature(K1)
     sig2 = _vertex_signature(K2)

@@ -164,6 +164,15 @@ def test_parse_failure_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_verify_guard_exit_2(tmp_path, capsys):
+    assert run(tmp_path, "verify", "all", "--max-n", "8") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "verify guard" in err
+    # the guard reads the corpus a suite builds: roundtrip needs none
+    out = str(tmp_path / "r.json")
+    assert run(tmp_path, "verify", "roundtrip", "--max-n", "100", "-o", out) == 0
+
+
 def test_null_graph_bounds_exit_2(tmp_path, capsys):
     g = tmp_path / "null.json"
     g.write_text('{"n": 0, "edges": []}')

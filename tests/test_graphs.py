@@ -8,7 +8,9 @@ import pytest
 
 from boxtopo.graphs import (
     Graph,
+    _canonical_edge_set,
     add_cone_vertex,
+    all_labeled_graphs,
     chromatic_number,
     common_neighbors,
     complete_graph,
@@ -173,9 +175,19 @@ def test_graph_from_z2_needs_dense_labels():
 
 
 def test_connected_graph_counts():
-    assert [len(connected_graphs(n)) for n in range(1, 6)] == [1, 1, 2, 6, 21]
+    by_n = {n: connected_graphs(n) for n in range(1, 8)}
+    # OEIS A001349: connected graphs on n unlabeled vertices
+    assert [len(by_n[n]) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
     assert len(connected_graph_corpus(5)) == 31
-    assert all(is_connected(G) for G in connected_graph_corpus(5))
+    for n, corpus in by_n.items():
+        assert all(is_connected(G) for G in corpus)
+        assert len({_canonical_edge_set(G) for G in corpus}) == len(corpus)
+    # reference: canonical forms of the connected labeled graphs
+    for n in range(6):
+        scanned = {
+            _canonical_edge_set(G) for G in all_labeled_graphs(n) if is_connected(G)
+        }
+        assert {G.edges for G in connected_graphs(n)} == scanned
 
 
 def test_graph_json_roundtrip():
