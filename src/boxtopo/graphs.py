@@ -322,9 +322,13 @@ def connected_graphs(n: int) -> list[Graph]:
     """
     if n <= 1:
         return [Graph(n, [])]
+    return _extend_by_one_vertex(connected_graphs(n - 1), n)
+
+
+def _extend_by_one_vertex(smaller: list[Graph], n: int) -> list[Graph]:
     seen: set[frozenset[Edge]] = set()
     out = []
-    for H in connected_graphs(n - 1):
+    for H in smaller:
         for mask in range(1, 1 << (n - 1)):
             join = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
             key = _canonical_edge_set(Graph(n, [*H.edges, *join]))
@@ -335,10 +339,17 @@ def connected_graphs(n: int) -> list[Graph]:
 
 
 def connected_graph_corpus(max_n: int) -> list[Graph]:
-    """Connected graphs on 1..max_n vertices up to isomorphism."""
-    out = []
+    """Connected graphs on 1..max_n vertices up to isomorphism.
+
+    One recursion: each n's classes, in the order connected_graphs(n) lists
+    them, are extended to the next n.
+    """
+    out: list[Graph] = []
+    level = connected_graphs(1)
     for n in range(1, max_n + 1):
-        out.extend(connected_graphs(n))
+        if n > 1:
+            level = _extend_by_one_vertex(level, n)
+        out.extend(level)
     return out
 
 

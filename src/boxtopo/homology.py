@@ -1,10 +1,12 @@
 """Integer simplicial homology via Smith normal form.
 
-All linear algebra is exact: matrices are plain lists of Python ints,
-so elimination entry growth is handled by arbitrary precision
-arithmetic.  Every complex is reduced by elementary collapses before its
-boundary matrices are built; collapses preserve the homotopy type, so
-the reduced homology is that of the input.
+All linear algebra is exact: boundary maps are stored as sparse columns
+of Python ints, so elimination entry growth is handled by arbitrary
+precision arithmetic.  Every complex is reduced by elementary collapses
+before its boundary maps are built; collapses preserve the homotopy
+type, so the reduced homology is that of the input.  Unit pivots are
+eliminated sparsely and only the block left without a unit entry goes
+to the dense Smith normal form.
 
 The reduced convention is used throughout: a point has trivial homology
 in every degree, m components give betti_0 = m - 1, and the empty
@@ -15,12 +17,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import combinations
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from .simplicial import Face, SimplicialComplex
 
 Matrix = list[list[int]]
+Column = dict[int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -29,63 +34,71 @@ Matrix = list[list[int]]
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Boundary matrices D_1..D_dim over canonically ordered face bases.
+    """Boundary maps D_1..D_dim over canonically ordered face bases.
 
-    matrices[k-1] is D_k, mapping k-chains to (k-1)-chains (rows indexed
-    by (k-1)-faces, columns by k-faces); entries are -1, 0, +1.
+    columns[k-1] is D_k, mapping k-chains to (k-1)-chains: its j-th entry
+    maps the row index of each (k-1)-face of bases[k][j] to its sign, -1
+    or +1.  The dense forms (boundary, matrices) are built on demand for
+    oracles and tests.
     """
 
     bases: tuple[tuple[Face, ...], ...]
-    matrices: tuple[tuple[tuple[int, ...], ...], ...]
+    columns: tuple[tuple[Column, ...], ...]
 
     @property
     def dim(self) -> int:
         return len(self.bases) - 1
 
     def boundary(self, k: int) -> Matrix:
-        """D_k as a mutable row-major matrix."""
+        """D_k as a dense mutable row-major matrix."""
         if not 1 <= k <= self.dim:
             raise ValueError(f"no boundary matrix D_{k}")
-        return [list(row) for row in self.matrices[k - 1]]
+        M = [[0] * len(self.bases[k]) for _ in self.bases[k - 1]]
+        for j, col in enumerate(self.columns[k - 1]):
+            for i, sign in col.items():
+                M[i][j] = sign
+        return M
 
-
-def _face_boundary(f: Face) -> list[tuple[Face, int]]:
-    return [(f[:i] + f[i + 1:], (-1) ** i) for i in range(len(f))]
+    @property
+    def matrices(self) -> tuple[Matrix, ...]:
+        """D_1..D_dim as dense row-major matrices."""
+        return tuple(self.boundary(k) for k in range(1, self.dim + 1))
 
 
 def boundary_matrices(K: SimplicialComplex) -> ChainComplex:
-    """Build all boundary matrices; asserts that consecutive ones compose to zero.
+    """Build all boundary maps; asserts that consecutive ones compose to zero.
 
     Signs come from the position parity of the omitted vertex in the
     sorted vertex order.
     """
     if K.is_empty():
         raise ValueError("the empty complex has no chain complex")
-    bases = tuple(tuple(K.k_faces(k)) for k in range(K.dim + 1))
-    index = [{f: i for i, f in enumerate(bs)} for bs in bases]
-    matrices = []
+    by_dim: list[list[Face]] = [[] for _ in range(K.dim + 1)]
+    for f in K.faces:
+        by_dim[len(f) - 1].append(f)
+    bases = tuple(tuple(sorted(fs)) for fs in by_dim)
+    columns = []
     for k in range(1, K.dim + 1):
-        rows, cols = len(bases[k - 1]), len(bases[k])
-        M = [[0] * cols for _ in range(rows)]
-        for j, f in enumerate(bases[k]):
-            for sub, sign in _face_boundary(f):
-                M[index[k - 1][sub]][j] = sign
-        matrices.append(tuple(tuple(row) for row in M))
-    cc = ChainComplex(bases, tuple(matrices))
-    _assert_boundary_squares_to_zero(K, bases)
-    return cc
+        index = {f: i for i, f in enumerate(bases[k - 1])}
+        columns.append(tuple(
+            {index[f[:i] + f[i + 1:]]: -1 if i & 1 else 1 for i in range(len(f))}
+            for f in bases[k]
+        ))
+    _assert_boundary_squares_to_zero(bases, columns)
+    return ChainComplex(bases, tuple(columns))
 
 
-def _assert_boundary_squares_to_zero(K: SimplicialComplex, bases) -> None:
-    # sparse check: expand each (k+1)-face twice and confirm cancellation
-    for k in range(1, K.dim):
-        for f in bases[k + 1]:
-            acc: dict[Face, int] = {}
-            for sub, s in _face_boundary(f):
-                for sub2, s2 in _face_boundary(sub):
-                    acc[sub2] = acc.get(sub2, 0) + s * s2
+def _assert_boundary_squares_to_zero(bases, columns) -> None:
+    # sparse check: D_k applied to each column of D_{k+1} must cancel
+    for k in range(1, len(columns)):
+        lower = columns[k - 1]
+        for j, col in enumerate(columns[k]):
+            acc: dict[int, int] = {}
+            for i, s in col.items():
+                for r, s2 in lower[i].items():
+                    acc[r] = acc.get(r, 0) + s * s2
             if any(acc.values()):
-                raise RuntimeError(f"boundary of boundary nonzero at {f}")
+                raise RuntimeError(f"boundary of boundary nonzero at {bases[k + 1][j]}")
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +121,10 @@ class SnfResult:
 
 
 def smith_normal_form(M: Matrix) -> SnfResult:
-    """Smith normal form by unimodular row/column operations.
+    """Smith normal form of a dense matrix by unimodular row/column operations.
+
+    It finishes the block sparse_smith_normal_form leaves and is the dense
+    oracle of the tests.
 
     Pivoting is deterministic: smallest nonzero absolute value in the
     remaining block, ties broken by row-major position.  The pivot's
@@ -220,6 +236,66 @@ def bareiss_rank(M: Matrix) -> int:
     return rank
 
 
+def sparse_smith_normal_form(columns: Sequence[Mapping[int, int]]) -> SnfResult:
+    """Smith normal form of a sparse integer matrix given by its columns.
+
+    columns[j] maps a row index to the entry in column j.  Pivots of
+    absolute value 1 are eliminated first: the pivot row is one with the
+    fewest entries among the rows that hold a unit (ties to the smaller
+    row index), the pivot column its unit column with the fewest entries
+    (ties likewise).  Row operations clear the pivot column; the pivot row
+    is then cleared by column operations that change nothing else, so each
+    unit pivot adds a factor 1 and drops out.  The block left without a
+    unit entry goes to smith_normal_form, even when it is empty.
+    """
+    rows: dict[int, Column] = {}
+    col_rows: dict[int, set[int]] = {}
+    for j, col in enumerate(columns):
+        for i, a in col.items():
+            if a:
+                rows.setdefault(i, {})[j] = a
+                col_rows.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapify(heap)
+    units = 0
+    while heap:
+        n, i = heappop(heap)
+        row = rows.get(i)
+        if row is None or len(row) != n:
+            continue  # a stale entry: the row is gone or was pushed again
+        unit_cols = [(len(col_rows[j]), j) for j, a in row.items() if a == 1 or a == -1]
+        if not unit_cols:
+            continue  # pushed again if a later elimination changes the row
+        j = min(unit_cols)[1]
+        p = row[j]
+        del rows[i]
+        for c in row:
+            col_rows[c].discard(i)
+        for r in list(col_rows[j]):
+            other = rows[r]
+            q = other[j] * p  # other[j] / p, as p = +-1
+            for c, a in row.items():
+                v = other.get(c, 0) - q * a
+                if v:
+                    if c not in other:
+                        col_rows[c].add(r)
+                    other[c] = v
+                else:
+                    del other[c]
+                    col_rows[c].discard(r)
+            heappush(heap, (len(other), r))
+        units += 1
+
+    left = sorted(i for i, row in rows.items() if row)
+    cols = sorted({j for i in left for j in rows[i]})
+    where = {j: t for t, j in enumerate(cols)}
+    block = [[0] * len(cols) for _ in left]
+    for s, i in enumerate(left):
+        for j, a in rows[i].items():
+            block[s][where[j]] = a
+    return SnfResult((1,) * units + smith_normal_form(block).factors)
+
+
 # ---------------------------------------------------------------------------
 # Homology profiles
 # ---------------------------------------------------------------------------
@@ -296,39 +372,38 @@ def collapse_reduce(K: SimplicialComplex) -> SimplicialComplex:
     """Remove free pairs until none remain; preserves the homotopy type.
 
     A face is free when it has exactly one codimension-one coface (that
-    coface is then automatically its only coface, and maximal).
+    coface is then automatically its only coface, and maximal).  Each live
+    face keeps the number of its codimension-one cofaces and the sum of the
+    vertices they add, so a free face's coface is read off without a search.
     """
-    faces = set(K.faces)
-    verts = K.vertices
-    count: dict[Face, int] = {f: 0 for f in faces}
-    for f in faces:
+    # the keys of count are the live faces, in the iteration order of a set
+    count = dict.fromkeys(set(K.faces), 0)
+    added = dict.fromkeys(count, 0)
+    for f in count:
         if len(f) > 1:
-            for i in range(len(f)):
-                count[f[:i] + f[i + 1:]] += 1
-
-    def unique_coface(f: Face) -> Face:
-        # exists whenever count[f] == 1: each collapse keeps faces downward closed
-        fs = set(f)
-        cofaces = (tuple(sorted(f + (v,))) for v in verts if v not in fs)
-        return next(g for g in cofaces if g in faces)
+            for v, sub in zip(reversed(f), combinations(f, len(f) - 1)):
+                count[sub] += 1
+                added[sub] += v
 
     queue = deque(f for f, c in count.items() if c == 1)
     while queue:
         f = queue.popleft()
-        if f not in faces or count[f] != 1:
+        if count.get(f) != 1:
             continue
-        tau = unique_coface(f)
-        faces.discard(f)
-        faces.discard(tau)
+        # count[f] == 1, so added[f] is the one vertex its coface adds
+        tau = tuple(sorted(f + (added[f],)))
+        del count[f], count[tau]
         for g in (f, tau):
             if len(g) > 1:
-                for i in range(len(g)):
-                    sub = g[:i] + g[i + 1:]
-                    if sub in faces:
-                        count[sub] -= 1
-                        if count[sub] == 1:
+                # sub-faces in the order of the omitted position, g[0] first
+                for v, sub in zip(g, reversed(list(combinations(g, len(g) - 1)))):
+                    c = count.get(sub)
+                    if c is not None:
+                        count[sub] = c - 1
+                        added[sub] -= v
+                        if c == 2:
                             queue.append(sub)
-    return SimplicialComplex(faces)
+    return SimplicialComplex(count)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +414,8 @@ def reduced_homology(K: SimplicialComplex, *, collapse: bool = True) -> Homology
     """Reduced integer homology from Smith normal forms of the boundaries.
 
     K is first reduced by collapse_reduce; collapse=False skips that pass
-    and serves as the reference path in tests.
+    and serves as the reference path in tests.  Each boundary goes through
+    sparse_smith_normal_form.
     """
     if K.is_empty():
         return ZERO_PROFILE
@@ -352,7 +428,7 @@ def reduced_homology(K: SimplicialComplex, *, collapse: bool = True) -> Homology
     torsion_of: list[tuple[int, ...]] = [()] * (K.dim + 2)
     rank_of[0] = 1
     for k in range(1, K.dim + 1):
-        snf = smith_normal_form(cc.boundary(k))
+        snf = sparse_smith_normal_form(cc.columns[k - 1])
         rank_of[k] = snf.rank
         torsion_of[k] = snf.torsion
     entries = []

@@ -147,10 +147,11 @@ class Z2Complex:
 
     def __init__(self, complex: SimplicialComplex, action: Involution):
         d = action.as_dict()
+        vertex_set = set(complex.vertices)
         for v in complex.vertices:
             if v not in d:
                 raise ValueError(f"action undefined on vertex {v}")
-            if d[v] not in set(complex.vertices):
+            if d[v] not in vertex_set:
                 raise ValueError(f"action sends {v} outside the complex")
             if d[d[v]] != v:
                 raise ValueError(f"action is not order two at {v}")

@@ -67,13 +67,15 @@ def test_complex_sd_on_triangle(tmp_path):
     assert K.f_vector() == (7, 12, 6)
 
 
+RP2_FACETS = [
+    [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
+    [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5],
+]
+
+
 def test_homology_of_rp2(tmp_path):
     rp2 = tmp_path / "rp2.json"
-    facets = [
-        [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
-        [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5],
-    ]
-    rp2.write_text(json.dumps({"facets": facets}))
+    rp2.write_text(json.dumps({"facets": RP2_FACETS}))
     out = tmp_path / "h.json"
     assert run(tmp_path, "homology", str(rp2), "-o", str(out)) == 0
     obj = json.loads(out.read_text())
@@ -186,6 +188,8 @@ def test_null_graph_bounds_exit_2(tmp_path, capsys):
 # ahead of its homology, and must not move.  "bounds_c5" has connectivity > 0,
 # so its pi1 check runs; the hom and sd files (40 and 200 faces) were small
 # enough that their homology used to be computed without collapsing them.
+# "rp2_homology" was recorded before the sparse unit-pivot elimination: RP^2
+# has no free face and its torsion Z/2 comes from the leftover dense block.
 PINNED_DIGESTS = {
     "verify": "111aa2e8a8cafa5e79dc756f347f8719000d8d451298a7a6a7c9404b2a60dada",
     "box": "aadf15b1298d7fa0400a8087931609694b5ff22f8229fa221e5355f2b38ea4e3",
@@ -196,6 +200,7 @@ PINNED_DIGESTS = {
     "bounds_c5": "2b7917b1c79e4a433eab2edfd793c49bd38aee7aa99807e17cc9c62ba91288dc",
     "hom_homology": "a1599b5db083b8f1900267341b0654db16c4196301c683f152f2e289d3cf063a",
     "sd_homology": "a1599b5db083b8f1900267341b0654db16c4196301c683f152f2e289d3cf063a",
+    "rp2_homology": "c53d4a88fa745a77072fe7d10ec2ec0af1ad1900eb8349908e027e9486482d95",
 }
 
 
@@ -206,6 +211,8 @@ def test_output_bytes_match_pinned_digests(tmp_path):
         return str(path)
 
     g, kg = out("g", "gen", "cycle", "5"), out("kg", "gen", "kneser", "5", "2")
+    rp2 = tmp_path / "rp2.json"
+    rp2.write_text(json.dumps({"facets": RP2_FACETS}))
     paths = {
         "verify": out("verify", "verify", "all", "--max-n", "5"),
         "box": out("box", "complex", "box", g),
@@ -217,5 +224,6 @@ def test_output_bytes_match_pinned_digests(tmp_path):
     paths["susp"] = out("susp", "complex", "susp", paths["hom"])
     paths["hom_homology"] = out("hom_homology", "homology", paths["hom"])
     paths["sd_homology"] = out("sd_homology", "homology", paths["sd"])
+    paths["rp2_homology"] = out("rp2_homology", "homology", str(rp2))
     digests = {k: hashlib.sha256(Path(p).read_bytes()).hexdigest() for k, p in paths.items()}
     assert digests == PINNED_DIGESTS

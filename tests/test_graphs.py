@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from boxtopo import graphs
 from boxtopo.graphs import (
     Graph,
     _canonical_edge_set,
@@ -188,6 +189,26 @@ def test_connected_graph_counts():
             _canonical_edge_set(G) for G in all_labeled_graphs(n) if is_connected(G)
         }
         assert {G.edges for G in connected_graphs(n)} == scanned
+
+
+def test_corpus_is_one_recursion_in_connected_graphs_order(monkeypatch):
+    for max_n in (0, 1, 6):
+        by_n = [G for n in range(1, max_n + 1) for G in connected_graphs(n)]
+        assert connected_graph_corpus(max_n) == by_n
+    calls = []
+    canonical = graphs._canonical_edge_set
+
+    def counted(G):
+        calls.append(G.n)
+        return canonical(G)
+
+    monkeypatch.setattr(graphs, "_canonical_edge_set", counted)
+    connected_graphs(6)
+    alone = len(calls)
+    calls.clear()
+    connected_graph_corpus(6)
+    # each smaller class is extended once, not once per larger n
+    assert len(calls) == alone == 759
 
 
 def test_graph_json_roundtrip():

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxtopo.builders import box_complex, box0_complex, neighborhood_complex
+from boxtopo import homology
+from boxtopo.builders import box_complex, box0_complex, hom_k2_order_complex, neighborhood_complex
 from boxtopo.graphs import complete_graph, connected_graph_corpus, cycle_graph, kneser_graph
 from boxtopo.homology import (
     HomologyProfile,
@@ -27,8 +29,10 @@ from boxtopo.homology import (
     profile_to_obj,
     reduced_homology,
     smith_normal_form,
+    sparse_smith_normal_form,
 )
 from boxtopo.simplicial import (
+    SimplicialComplex,
     barycentric_subdivision,
     euler_characteristic,
     from_facets,
@@ -222,6 +226,126 @@ def test_snf_invariant_under_unimodular_operations(data):
         if not on_rows:
             A = [list(col) for col in zip(*A)]
     assert smith_normal_form(A).factors == base.factors
+
+
+def columns_of(M: list[list[int]]) -> list[dict[int, int]]:
+    return [{i: row[j] for i, row in enumerate(M) if row[j]} for j in range(len(M[0]) if M else 0)]
+
+
+def test_sparse_columns_match_the_dense_boundary():
+    cc = boundary_matrices(RP2)
+    for k in (1, 2):
+        D = cc.boundary(k)
+        assert [dict(c) for c in cc.columns[k - 1]] == columns_of(D)
+    assert cc.matrices == (cc.boundary(1), cc.boundary(2))
+
+
+def test_boundary_check_rejects_a_wrong_sign():
+    cc = boundary_matrices(TETRA_BOUNDARY)
+    columns = [[dict(c) for c in D] for D in cc.columns]
+    columns[1][0][0] *= -1
+    with pytest.raises(RuntimeError, match="boundary of boundary nonzero"):
+        homology._assert_boundary_squares_to_zero(cc.bases, columns)
+
+
+def test_sparse_snf_matches_dense_per_degree():
+    complexes = [RP2, TETRA_BOUNDARY, hom_k2_order_complex(complete_graph(4)).complex]
+    complexes += [box_complex(complete_graph(n)).complex for n in range(2, 7)]
+    for G in connected_graph_corpus(5):
+        complexes += [box_complex(G).complex, box0_complex(G).complex]
+    for K in filter(None, complexes):
+        cc = boundary_matrices(K)
+        for k in range(1, cc.dim + 1):
+            sparse = sparse_smith_normal_form(cc.columns[k - 1])
+            dense = smith_normal_form(cc.boundary(k))
+            assert sparse.rank == dense.rank == bareiss_rank(cc.boundary(k))
+            assert sparse.torsion == dense.torsion
+
+
+def test_sparse_snf_sends_the_non_unit_block_to_the_dense_snf(monkeypatch):
+    blocks = []
+    dense = homology.smith_normal_form
+
+    def record(M):
+        blocks.append(M)
+        return dense(M)
+
+    monkeypatch.setattr(homology, "smith_normal_form", record)
+    # one unit pivot, then a 2 x 2 block with no unit entry
+    M = [[1, 2, 0], [3, 2, 4], [0, 6, 2]]
+    assert sparse_smith_normal_form(columns_of(M)).factors == dense(M).factors == (1, 2, 16)
+    assert blocks[-1] and all(abs(x) != 1 for row in blocks[-1] for x in row)
+    # RP^2: the torsion Z/2 is found in the leftover block of D_2
+    cc = boundary_matrices(RP2)
+    snf = sparse_smith_normal_form(cc.columns[1])
+    assert snf.factors == (1,) * 9 + (2,)
+    assert blocks[-1]
+    # a unimodular matrix leaves a 0 x 0 block, which is still passed on
+    assert sparse_smith_normal_form(columns_of([[1, 1], [0, 1]])).factors == (1, 1)
+    assert blocks[-1] == []
+    # so does every boundary of B(K5): all its pivots are +1 or -1
+    del blocks[:]
+    reduced_homology(box_complex(complete_graph(5)).complex, collapse=False)
+    assert blocks == [[]] * 4
+    assert sparse_smith_normal_form([]).factors == ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_snf_matches_the_dense_oracles(data):
+    m, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    entries = st.one_of(st.just(0), st.integers(-2, 2))
+    M = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    sparse = sparse_smith_normal_form(columns_of(M))
+    assert sparse.rank == bareiss_rank(M)
+    assert sparse.torsion == smith_normal_form(M).torsion
+
+
+def vertex_scan_collapse(K: SimplicialComplex) -> SimplicialComplex:
+    """Reference: collapse_reduce as it was before cofaces were tracked,
+    finding each free face's coface by trying every vertex."""
+    faces = set(K.faces)
+    verts = K.vertices
+    count = {f: 0 for f in faces}
+    for f in faces:
+        if len(f) > 1:
+            for i in range(len(f)):
+                count[f[:i] + f[i + 1:]] += 1
+
+    def unique_coface(f):
+        fs = set(f)
+        cofaces = (tuple(sorted(f + (v,))) for v in verts if v not in fs)
+        return next(g for g in cofaces if g in faces)
+
+    queue = deque(f for f, c in count.items() if c == 1)
+    while queue:
+        f = queue.popleft()
+        if f not in faces or count[f] != 1:
+            continue
+        tau = unique_coface(f)
+        faces.discard(f)
+        faces.discard(tau)
+        for g in (f, tau):
+            if len(g) > 1:
+                for i in range(len(g)):
+                    sub = g[:i] + g[i + 1:]
+                    if sub in faces:
+                        count[sub] -= 1
+                        if count[sub] == 1:
+                            queue.append(sub)
+    return SimplicialComplex(faces)
+
+
+def test_collapse_matches_the_vertex_scan_reference():
+    complexes = [box0_complex(kneser_graph(5, 2)).complex]
+    for G in connected_graph_corpus(5):
+        complexes += [build(G).complex for build in (box_complex, box0_complex, hom_k2_order_complex)]
+    removed = 0
+    for K in complexes:
+        L = collapse_reduce(K)
+        assert L.faces == vertex_scan_collapse(K).faces
+        removed += len(K) - len(L)
+    assert removed > 0
 
 
 def test_homological_connectivity():
