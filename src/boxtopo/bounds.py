@@ -3,8 +3,15 @@
 The bounds use homological connectivity, a surrogate for homotopy
 connectivity.  Every report carries a caveat flag; it is cleared only
 when the surrogate provably matches: connectivity <= 0 (where the two
-notions coincide) or a successful simple-connectivity proof (which
-upgrades homology vanishing through the checked range).
+notions coincide) or a simple-connectivity proof (which upgrades
+homology vanishing through the checked range).
+
+Each bound is computed on a smaller complex proven equivalent to the
+one it names: Lovász's conn(B(G)) on the neighborhood complex
+N(G) ~ B(G), Sarkaria's conn(B0(G)) on B(G) through B0(G) ~ susp B(G).
+B0(G) and its two full shore simplices are never built for a bound;
+verify_shore_retract and verify_suspension_relation check those
+equivalences independently.
 
 The verify_* checks test falsifiable homological consequences of
 homotopy equivalences: equal Betti/torsion tables and matching Euler
@@ -95,35 +102,56 @@ class VerificationOutcome:
         }
 
 
-def _bound(G: Graph, bound: str, build, offset: int) -> BoundReport:
-    """conn(build(G)) + offset, with the complex's reduced homology as evidence."""
+def _check_nonnull(G: Graph) -> None:
     if G.n == 0:
         raise ValueError("chromatic bounds need a graph with at least one vertex")
-    K = build(G).complex
-    L = collapse_reduce(K)
-    # L ~ K; the free Z2 action makes K never acyclic (Smith), so conn(L) == conn(K)
-    conn = homological_connectivity(L)
-    return BoundReport(
-        graph=G.descriptor(),
-        bound=bound,
-        value=conn + offset,
-        caveat=conn > 0 and not pi1_trivial_heuristic(L),
-        evidence=reduced_homology(L),
-        note="degenerate input: box complex is empty (no edges)" if K.is_empty() else None,
-    )
 
 
 def lovasz_bound(G: Graph) -> BoundReport:
-    """connectivity(box complex) + 3; a lower bound for the chromatic number."""
-    return _bound(G, "lovasz", box_complex, 3)
+    """conn(B(G)) + 3; a lower bound for the chromatic number.
+
+    Computed on the neighborhood complex N(G) ~ B(G): its faces are the
+    vertex sets with a common neighbor, far fewer than the ~3^n of B(G).
+    N(G) is never acyclic (B(G) carries a free Z2 action, Smith theory),
+    so conn(collapse(N(G))) == conn(B(G)).
+    """
+    _check_nonnull(G)
+    N = neighborhood_complex(G)
+    L = collapse_reduce(N)
+    conn = homological_connectivity(L)
+    return BoundReport(
+        graph=G.descriptor(),
+        bound="lovasz",
+        value=conn + 3,
+        caveat=conn > 0 and not pi1_trivial_heuristic(L),
+        evidence=reduced_homology(L),
+        # N(G) is empty exactly when B(G) is: when G has no edge
+        note="degenerate input: box complex is empty (no edges)" if N.is_empty() else None,
+    )
 
 
 def sarkaria_bound(G: Graph) -> BoundReport:
-    """connectivity(box complex without CN conditions) + 2.
+    """conn(B0(G)) + 2; a lower bound for the chromatic number.
 
+    Computed on B(G) through B0(G) ~ susp B(G): conn(B0(G)) is
+    conn(B(G)) + 1 (-1 for the empty B(G), whose suspension is S^0) and
+    the evidence is the suspension shift of H~(B(G)).  The caveat is
+    cleared by proof: conn > 0 means B(G) is connected, and the
+    suspension of a connected complex is simply connected (van Kampen).
     B0(G) of a graph with a vertex is never empty, so it carries no note.
     """
-    return _bound(G, "sarkaria", box0_complex, 2)
+    _check_nonnull(G)
+    B = box_complex(G).complex
+    L = collapse_reduce(B)
+    # the free Z2 action makes B never acyclic (Smith), so conn(L) == conn(B)
+    conn = homological_connectivity(L) + 1
+    return BoundReport(
+        graph=G.descriptor(),
+        bound="sarkaria",
+        value=conn + 2,
+        caveat=False,
+        evidence=suspension_shift(reduced_homology(L), of_empty=B.is_empty()),
+    )
 
 
 def suspension_shift(profile: HomologyProfile, *, of_empty: bool) -> HomologyProfile:

@@ -135,7 +135,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
 # bounds
 # ---------------------------------------------------------------------------
 
-BOUNDS_GUARD = 16  # box-type complexes hold ~2^n faces per shore
+BOUNDS_GUARD = 16  # the bounds build N(G) and B(G) (~3^n faces), no shore simplices
 VERIFY_GUARD = 7  # the 8-vertex corpus alone takes minutes to build
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from boxtopo.bounds import (
+    BoundReport,
     lovasz_bound,
     neighborhood_realizability_search,
     sarkaria_bound,
@@ -18,6 +19,7 @@ from boxtopo.bounds import (
     verify_shore_retract,
     verify_suspension_relation,
 )
+from boxtopo.builders import box0_complex, box_complex
 from boxtopo.graphs import (
     Graph,
     chromatic_number,
@@ -27,9 +29,16 @@ from boxtopo.graphs import (
     cycle_graph,
     kneser_graph,
 )
-from boxtopo.homology import S0_PROFILE, reduced_homology
+from boxtopo.homology import (
+    S0_PROFILE,
+    collapse_reduce,
+    homological_connectivity,
+    pi1_trivial_heuristic,
+    reduced_homology,
+)
 from boxtopo.simplicial import (
     antipodal_cycle_z2,
+    dumps_canonical,
     from_facets,
     octahedron_z2,
     two_points_z2,
@@ -92,7 +101,47 @@ def test_bounds_sound_on_corpus():
             assert lov.value <= chi
         if not sar.caveat:
             assert sar.value <= chi
-        assert abs(sar.value - lov.value) <= 1
+        # B0(G) ~ susp B(G): the homological surrogates coincide, also
+        # for the empty B(G) (-2 + 3 == -1 + 2)
+        assert sar.value == lov.value
+
+
+def reference_bound(G: Graph, bound: str, build, offset: int) -> BoundReport:
+    """Reference: the bounds as they were computed before the smaller
+    models, conn(build(G)) + offset on B(G) (Lovász) or B0(G) (Sarkaria)."""
+    K = build(G).complex
+    L = collapse_reduce(K)
+    conn = homological_connectivity(L)
+    return BoundReport(
+        graph=G.descriptor(),
+        bound=bound,
+        value=conn + offset,
+        caveat=conn > 0 and not pi1_trivial_heuristic(L),
+        evidence=reduced_homology(L),
+        note="degenerate input: box complex is empty (no edges)" if K.is_empty() else None,
+    )
+
+
+def assert_bounds_match_the_reference(graphs) -> int:
+    """Byte equality of both reports with the B/B0 reference; returns the
+    number of graphs with conn(B(G)) > 0, on which the reference runs the
+    pi1 heuristic for both bounds."""
+    with_pi1 = 0
+    for G in graphs:
+        lov = reference_bound(G, "lovasz", box_complex, 3)
+        sar = reference_bound(G, "sarkaria", box0_complex, 2)
+        for rep, ref in ((lovasz_bound(G), lov), (sarkaria_bound(G), sar)):
+            assert dumps_canonical(rep.to_obj()) == dumps_canonical(ref.to_obj()), G
+        with_pi1 += lov.value > 3
+    return with_pi1
+
+
+def test_bounds_match_the_box_complex_reference():
+    graphs = connected_graph_corpus(6) + [Graph(1, []), Graph(3, []), Graph(4, [(0, 1), (2, 3)])]
+    graphs += [complete_graph(n) for n in range(1, 9)]
+    graphs += [kneser_graph(n, 2) for n in range(4, 7)]
+    # K4..K8 at least have conn > 0, so the pi1 heuristic runs on B(G) and B0(G)
+    assert assert_bounds_match_the_reference(graphs) >= 5
 
 
 def test_suspension_relation_examples():

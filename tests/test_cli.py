@@ -190,6 +190,9 @@ def test_null_graph_bounds_exit_2(tmp_path, capsys):
 # enough that their homology used to be computed without collapsing them.
 # "rp2_homology" was recorded before the sparse unit-pivot elimination: RP^2
 # has no free face and its torsion Z/2 comes from the leftover dense block.
+# "bounds_k4", "bounds_k6" and "bounds_kg62" (conn > 0 for both bounds, so
+# the parent ran its pi1 check on B(G) and on B0(G)) were recorded while the
+# bounds were still computed on B(G) and B0(G), before N(G) and susp B(G).
 PINNED_DIGESTS = {
     "verify": "111aa2e8a8cafa5e79dc756f347f8719000d8d451298a7a6a7c9404b2a60dada",
     "box": "aadf15b1298d7fa0400a8087931609694b5ff22f8229fa221e5355f2b38ea4e3",
@@ -201,6 +204,9 @@ PINNED_DIGESTS = {
     "hom_homology": "a1599b5db083b8f1900267341b0654db16c4196301c683f152f2e289d3cf063a",
     "sd_homology": "a1599b5db083b8f1900267341b0654db16c4196301c683f152f2e289d3cf063a",
     "rp2_homology": "c53d4a88fa745a77072fe7d10ec2ec0af1ad1900eb8349908e027e9486482d95",
+    "bounds_k4": "7aa4cf5f9b85993f0d7f6eb1c6defcc01bdcee64a8ff0549208212e798e02f65",
+    "bounds_k6": "1c365522958cc413e4c012a6ee10586a8c437eccdd65f2c00b3716de10f888d4",
+    "bounds_kg62": "102818554cacd197efea1d79fd2543a5fd900cf8fc389f868cedc867ec8c3030",
 }
 
 
@@ -225,5 +231,7 @@ def test_output_bytes_match_pinned_digests(tmp_path):
     paths["hom_homology"] = out("hom_homology", "homology", paths["hom"])
     paths["sd_homology"] = out("sd_homology", "homology", paths["sd"])
     paths["rp2_homology"] = out("rp2_homology", "homology", str(rp2))
+    for name, *gen in (("k4", "complete", "4"), ("k6", "complete", "6"), ("kg62", "kneser", "6", "2")):
+        paths[f"bounds_{name}"] = out(f"bounds_{name}", "bounds", out(name, "gen", *gen), "--exact")
     digests = {k: hashlib.sha256(Path(p).read_bytes()).hexdigest() for k, p in paths.items()}
     assert digests == PINNED_DIGESTS

@@ -182,12 +182,20 @@ def test_collapse_preserves_homology_on_corpus():
 
 
 def test_bound_path_on_collapsed_complex_matches_reference():
-    # the bounds read connectivity and evidence off collapse_reduce(K)
+    # the bounds read connectivity and evidence off collapse_reduce(K), for
+    # K = N(G) (Lovász) and B(G) (Sarkaria); B0(G) is collapsed by verify
     for G in connected_graph_corpus(5) + [kneser_graph(5, 2)]:
-        for K in (box_complex(G).complex, box0_complex(G).complex):
+        for K in (neighborhood_complex(G), box_complex(G).complex, box0_complex(G).complex):
             L = collapse_reduce(K)
             assert homological_connectivity(L) == homological_connectivity(K)
             assert reduced_homology(L) == reduced_homology(K, collapse=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=8))
+def test_collapse_preserves_homology_on_random_complexes(facets):
+    K = from_facets(facets)
+    assert reduced_homology(K) == reduced_homology(K, collapse=False)
 
 
 def test_snf_betti_matches_rational_rank_on_corpus():
