@@ -2,7 +2,6 @@
 topological lower bounds for the chromatic number."""
 
 from .simplicial import (
-    EMPTY_COMPLEX,
     Involution,
     SimplicialComplex,
     Z2Complex,

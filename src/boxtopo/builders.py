@@ -16,6 +16,7 @@ from .simplicial import (
     Involution,
     SimplicialComplex,
     Z2Complex,
+    check_face_budget,
     from_facets,
     order_complex,
 )
@@ -104,8 +105,13 @@ def hom_pairs(G: Graph) -> list[tuple[Face, Face]]:
     complete bipartite subgraph, in canonical order."""
     N = neighborhood_complex(G)
     pairs: set[tuple[Face, Face]] = set()
+    faces = 0
     for A in N.faces:
         cn = sorted(common_neighbors(G, A))
+        # the (A, B) are vertices of Hom(K2, G), each with an edge to the
+        # (2^|A| - 1)(2^|B| - 1) - 1 pairs below it; summed over B: 3^c - 2^c
+        faces += ((1 << len(A)) - 1) * (3 ** len(cn) - 2 ** len(cn))
+        check_face_budget(faces, "Hom(K2, G)")
         for r in range(1, len(cn) + 1):
             for B in itertools.combinations(cn, r):
                 pairs.add((tuple(sorted(A)), B))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import math
 import sys
 from pathlib import Path
@@ -30,15 +31,11 @@ def _emit(text: str, output: str | None) -> None:
 def _load_graph(path: str) -> graphs.Graph:
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        import json
-
         return graphs.graph_from_obj(json.loads(text))
     return graphs.graph_from_edge_list(text)
 
 
 def _load_complex(path: str):
-    import json
-
     obj = json.loads(Path(path).read_text())
     return simplicial.complex_from_obj(obj)
 
@@ -135,17 +132,12 @@ def cmd_homology(args: argparse.Namespace) -> int:
 # bounds
 # ---------------------------------------------------------------------------
 
-BOUNDS_GUARD = 16  # the bounds build N(G) and B(G) (~3^n faces), no shore simplices
+# complexes are bounded where they are built (simplicial.FACE_BUDGET)
 VERIFY_GUARD = 7  # the 8-vertex corpus alone takes minutes to build
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     G = _load_graph(args.input)
-    if G.n > BOUNDS_GUARD and not args.force:
-        raise ValueError(
-            f"graph on {G.n} vertices exceeds the bounds guard ({BOUNDS_GUARD}); "
-            "pass --force to override"
-        )
     lov = bd.lovasz_bound(G)
     sar = bd.sarkaria_bound(G)
     exact = None
@@ -289,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="chromatic lower bounds for a graph file")
     b.add_argument("input")
     b.add_argument("--exact", action="store_true", help="also compute exact chi")
-    b.add_argument("--force", action="store_true", help="override the size guard")
+    b.add_argument("--force", action="store_true", help="override the exact-coloring guard")
     b.add_argument("--format", choices=["json", "table"], default="json")
     b.add_argument("-o", "--output")
     b.set_defaults(func=cmd_bounds)

@@ -7,9 +7,10 @@ constructions are well-defined without it.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable
 
-from .simplicial import Z2Complex
+from .simplicial import Z2Complex, check_face_budget
 
 Edge = tuple[int, int]
 
@@ -57,9 +58,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(len(a) for a in self.adj))
 
@@ -84,20 +82,6 @@ def is_complete_bipartite_between(G: Graph, A: Iterable[int], B: Iterable[int]) 
     if A & B:
         raise ValueError("shores must be disjoint")
     return all(b in G.adj[a] for a in A for b in B)
-
-
-def is_connected(G: Graph) -> bool:
-    if G.n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in G.adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == G.n
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +195,7 @@ def chromatic_number(G: Graph, *, force: bool = False) -> int:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
+    check_face_budget(math.comb(n, 2), f"the vertex pairs of K{n}")
     return Graph(n, itertools.combinations(range(n), 2))
 
 
@@ -230,6 +215,7 @@ def kneser_graph(n: int, k: int) -> Graph:
     """Vertices are k-subsets of {1..n} (colex order); edges join disjoint pairs."""
     if not n >= 2 * k >= 2:
         raise ValueError("kneser graph needs n >= 2k >= 2")
+    check_face_budget(math.comb(math.comb(n, k), 2), f"the vertex pairs of KG({n}, {k})")
     subsets = kneser_vertex_subsets(n, k)
     edges = [
         (i, j)
@@ -248,6 +234,7 @@ def add_cone_vertex(G: Graph) -> Graph:
 def cone_k(G: Graph, k: int) -> Graph:
     if k < 0:
         raise ValueError("k must be nonnegative")
+    check_face_budget(math.comb(G.n + k, 2), f"the vertex pairs of a graph on {G.n + k} vertices")
     for _ in range(k):
         G = add_cone_vertex(G)
     return G

@@ -354,16 +354,6 @@ def profile_to_obj(p: HomologyProfile) -> dict:
     }
 
 
-def profile_from_obj(obj: dict) -> HomologyProfile:
-    dims = sorted(obj["dims"], key=lambda d: d["k"])
-    entries = []
-    for k, d in enumerate(dims):
-        if d["k"] != k:
-            raise ValueError("profile dims must cover 0..top without gaps")
-        entries.append((int(d["betti"]), tuple(int(t) for t in d["torsion"])))
-    return HomologyProfile.from_pairs(entries)
-
-
 # ---------------------------------------------------------------------------
 # Elementary collapses
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 
+from boxtopo import simplicial
 from boxtopo.builders import (
     box_complex,
     box0_complex,
@@ -152,6 +153,18 @@ def test_hom_k3_matches_box_homology():
     prof = reduced_homology(Z.complex)
     assert prof.betti(1) == 1 and prof.betti(0) == 0
     assert prof == reduced_homology(box_complex(complete_graph(3)).complex)
+
+
+@pytest.mark.parametrize("G", [complete_graph(2), cycle_graph(5), complete_graph(4)])
+def test_hom_pairs_budget_counts_vertices_and_edges(G, monkeypatch):
+    # Hom(K2, G) is refused before its poset is listed once its vertices and
+    # the comparable pairs among them alone pass the budget
+    f = hom_k2_order_complex(G).complex.f_vector() + (0, 0)
+    monkeypatch.setattr(simplicial, "FACE_BUDGET", f[0] + f[1])
+    assert len(hom_pairs(G)) == f[0]
+    monkeypatch.setattr(simplicial, "FACE_BUDGET", f[0] + f[1] - 1)
+    with pytest.raises(ValueError, match="face budget"):
+        hom_pairs(G)
 
 
 @pytest.mark.parametrize("G", connected_graph_corpus(4), ids=lambda G: G.descriptor())

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from boxtopo import simplicial
 from boxtopo.cli import main
 from boxtopo.graphs import graph_from_obj, kneser_graph
 from boxtopo.simplicial import complex_from_obj, from_facets
@@ -98,6 +99,45 @@ def test_bounds_guard_exit_2(tmp_path):
     obj = {"n": 25, "edges": [[i, i + 1] for i in range(24)]}
     g.write_text(json.dumps(obj))
     assert run(tmp_path, "bounds", str(g), "--exact") == 2
+
+
+def test_bounds_on_a_long_path_needs_no_force(tmp_path):
+    g = tmp_path / "p25.json"
+    g.write_text(json.dumps({"n": 25, "edges": [[i, i + 1] for i in range(24)]}))
+    out = tmp_path / "b.json"
+    assert run(tmp_path, "bounds", str(g), "-o", str(out)) == 0
+    assert json.loads(out.read_text())["lovasz"]["value"] == 2
+
+
+# Each input builds a complex past the face budget: B(K14) has 4,782,966
+# faces, the closures of a 24- and a 40-vertex facet over 2^24, Hom(K2, K12)
+# has 523,250 vertices and far more edges, sd(B(K8)) has millions of chains,
+# and KG(40, 20) has C(40, 20) vertices.  sd(B(K8)) runs under a smaller
+# budget to stay fast; the others are refused at the default one.
+@pytest.mark.parametrize(
+    "command, budget",
+    [
+        ("bounds k14", None),
+        ("complex box k25", None),
+        ("homology facet40", None),
+        ("complex hom k12", None),
+        ("complex sd boxk8", 100_000),
+        ("gen kneser 40 20", None),
+    ],
+)
+def test_oversized_inputs_exit_2(tmp_path, capsys, monkeypatch, command, budget):
+    for n in (8, 12, 14, 25):
+        run(tmp_path, "gen", "complete", str(n), "-o", str(tmp_path / f"k{n}"))
+    run(tmp_path, "complex", "box", str(tmp_path / "k8"), "-o", str(tmp_path / "boxk8"))
+    (tmp_path / "facet40").write_text(json.dumps({"facets": [list(range(40))]}))
+    capsys.readouterr()
+    if budget is not None:
+        monkeypatch.setattr(simplicial, "FACE_BUDGET", budget)
+    *argv, name = command.split()
+    path = tmp_path / name
+    assert run(tmp_path, *argv, str(path) if path.exists() else name) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "face budget" in err and "Traceback" not in err
 
 
 def test_verify_suspension_small(tmp_path):

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boxtopo import graphs
+from boxtopo import graphs, simplicial
 from boxtopo.graphs import (
     Graph,
     _canonical_edge_set,
@@ -24,11 +27,21 @@ from boxtopo.graphs import (
     graph_from_z2_complex,
     graph_to_obj,
     is_complete_bipartite_between,
-    is_connected,
     kneser_graph,
     kneser_vertex_subsets,
 )
 from boxtopo.simplicial import antipodal_cycle_z2, subdivide_involution, two_points_z2
+
+
+def is_connected(G: Graph) -> bool:
+    """Oracle: depth-first search from vertex 0 reaches every vertex."""
+    seen = {0} if G.n else set()
+    stack = list(seen)
+    while stack:
+        for w in G.adj[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return len(seen) == G.n
 
 
 def brute_force_chromatic(G: Graph) -> int:
@@ -219,3 +232,33 @@ def test_graph_json_roundtrip():
 def test_edge_list_reader():
     G = graph_from_edge_list("3\n0 1\n1 2\n")
     assert G == Graph(3, [(0, 1), (1, 2)])
+
+
+@st.composite
+def graphs_on_up_to_ten_vertices(draw):
+    n = draw(st.integers(0, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_on_up_to_ten_vertices(), st.randoms(use_true_random=False))
+def test_graph_survives_json_and_edge_list_round_trips(G, rng):
+    assert graph_from_obj(json.loads(json.dumps(graph_to_obj(G)))) == G
+    lines = [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}" for u, v in G.edges]
+    rng.shuffle(lines)
+    assert graph_from_edge_list("\n".join([str(G.n), *lines]) + "\n") == G
+
+
+def test_generators_refuse_pair_loops_over_the_budget(monkeypatch):
+    with pytest.raises(ValueError, match="face budget"):
+        kneser_graph(40, 20)  # C(40, 20) vertices, never enumerated
+    monkeypatch.setattr(simplicial, "FACE_BUDGET", 45)  # the pairs of 10 vertices
+    assert kneser_graph(5, 2).n == complete_graph(10).n == cone_k(complete_graph(8), 2).n == 10
+    for build in (
+        lambda: kneser_graph(11, 1),
+        lambda: complete_graph(11),
+        lambda: cone_k(complete_graph(8), 3),
+    ):
+        with pytest.raises(ValueError, match="face budget"):
+            build()

@@ -25,7 +25,6 @@ from boxtopo.homology import (
     collapse_reduce,
     homological_connectivity,
     pi1_trivial_heuristic,
-    profile_from_obj,
     profile_to_obj,
     reduced_homology,
     smith_normal_form,
@@ -394,11 +393,6 @@ def test_pi1_rejects_disconnected():
 
 def test_pi1_sphere_after_subdivision():
     assert pi1_trivial_heuristic(barycentric_subdivision(TETRA_BOUNDARY)) is True
-
-
-def test_profile_json_roundtrip():
-    prof = reduced_homology(RP2)
-    assert profile_from_obj(profile_to_obj(prof)) == prof
 
 
 def test_profile_shift():
