@@ -56,6 +56,7 @@ from .homology import (
 )
 from .bounds import (
     BoundReport,
+    Builds,
     VerificationOutcome,
     lovasz_bound,
     neighborhood_realizability_search,

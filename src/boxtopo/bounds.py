@@ -16,6 +16,11 @@ equivalences independently.
 The verify_* checks test falsifiable homological consequences of
 homotopy equivalences: equal Betti/torsion tables and matching Euler
 characteristics.  A pass means "consistent with", not "proves".
+
+Each verify_* check, and builders.shore_subcomplex, takes a keyword-only
+``builds``: a Builds scope that memoizes B(G), N(G) and their reduced
+homology per labeled graph.  Checks that share a scope build each of
+these once; without one, a check makes a fresh scope of its own.
 """
 
 from __future__ import annotations
@@ -102,6 +107,37 @@ class VerificationOutcome:
         }
 
 
+class Builds:
+    """B(G), N(G) and their reduced homology, each computed once per scope.
+
+    Keyed on the labeled graph (n, edges): shore faces depend on the
+    labels, so isomorphic graphs do not share entries.  The builders and
+    reduced_homology are looked up by their module-level names at call
+    time, so wrappers patched onto this module see every real build.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict = {}
+
+    def _get(self, kind: str, G: Graph, make):
+        key = (kind, G.n, G.edges)
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def box(self, G: Graph) -> Z2Complex:
+        return self._get("box", G, lambda: box_complex(G))
+
+    def neighborhood(self, G: Graph) -> SimplicialComplex:
+        return self._get("nbhd", G, lambda: neighborhood_complex(G))
+
+    def box_homology(self, G: Graph) -> HomologyProfile:
+        return self._get("box homology", G, lambda: reduced_homology(self.box(G).complex))
+
+    def neighborhood_homology(self, G: Graph) -> HomologyProfile:
+        return self._get("nbhd homology", G, lambda: reduced_homology(self.neighborhood(G)))
+
+
 def _check_nonnull(G: Graph) -> None:
     if G.n == 0:
         raise ValueError("chromatic bounds need a graph with at least one vertex")
@@ -161,12 +197,13 @@ def suspension_shift(profile: HomologyProfile, *, of_empty: bool) -> HomologyPro
     return profile.shifted()
 
 
-def verify_suspension_relation(G: Graph) -> VerificationOutcome:
+def verify_suspension_relation(G: Graph, *, builds: Builds | None = None) -> VerificationOutcome:
     """Homology of the CN-free box complex must be the suspension shift of
     the box complex's, and the Euler characteristics must mirror (2 - chi)."""
-    B = box_complex(G)
+    builds = builds or Builds()
+    B = builds.box(G)
     B0 = box0_complex(G)
-    prof_b = reduced_homology(B.complex)
+    prof_b = builds.box_homology(G)
     prof_b0 = reduced_homology(B0.complex)
     expected = suspension_shift(prof_b, of_empty=B.complex.is_empty())
     chi_b = euler_characteristic(B.complex)
@@ -183,10 +220,11 @@ def verify_suspension_relation(G: Graph) -> VerificationOutcome:
     )
 
 
-def verify_shore_retract(G: Graph) -> VerificationOutcome:
+def verify_shore_retract(G: Graph, *, builds: Builds | None = None) -> VerificationOutcome:
     """The neighborhood complex and the box complex must have equal homology."""
-    prof_n = reduced_homology(neighborhood_complex(G))
-    prof_b = reduced_homology(box_complex(G).complex)
+    builds = builds or Builds()
+    prof_n = builds.neighborhood_homology(G)
+    prof_b = builds.box_homology(G)
     return VerificationOutcome(
         check="shore-retract",
         input=G.descriptor(),
@@ -198,12 +236,12 @@ def verify_shore_retract(G: Graph) -> VerificationOutcome:
     )
 
 
-def verify_even_euler(G: Graph) -> VerificationOutcome:
+def verify_even_euler(G: Graph, *, builds: Builds | None = None) -> VerificationOutcome:
     """chi of the box complex is even, checked numerically and by pairing
     the faces into orbits of size two under the shore swap."""
     if not G.edges:
         raise ValueError("even-Euler check needs at least one edge")
-    Z = box_complex(G)
+    Z = (builds or Builds()).box(G)
     K = Z.complex
     chi = euler_characteristic(K)
     act = Z.action
@@ -225,14 +263,17 @@ def verify_even_euler(G: Graph) -> VerificationOutcome:
     )
 
 
-def verify_construction_roundtrip(Z: Z2Complex) -> VerificationOutcome:
+def verify_construction_roundtrip(
+    Z: Z2Complex, *, builds: Builds | None = None
+) -> VerificationOutcome:
     """Subdivide, build the pair-and-neighbors graph, and compare homology:
     both the neighborhood and box complexes of the graph must match Z."""
+    builds = builds or Builds()
     target = reduced_homology(Z.complex)
     sd = subdivide_involution(Z)
     G = graph_from_z2_complex(sd)
-    prof_n = reduced_homology(neighborhood_complex(G))
-    prof_b = reduced_homology(box_complex(G).complex)
+    prof_n = builds.neighborhood_homology(G)
+    prof_b = builds.box_homology(G)
     passed = prof_n == target and prof_b == target
     return VerificationOutcome(
         check="construction-roundtrip",
@@ -249,12 +290,12 @@ def verify_construction_roundtrip(Z: Z2Complex) -> VerificationOutcome:
     )
 
 
-def verify_nerve_identity(Z: Z2Complex) -> VerificationOutcome:
+def verify_nerve_identity(Z: Z2Complex, *, builds: Builds | None = None) -> VerificationOutcome:
     """Without subdivision: the neighborhood complex of the constructed
     graph equals the nerve of the vertex stars, face set for face set."""
     K = Z.complex
     G = graph_from_z2_complex(Z)
-    N = neighborhood_complex(G)
+    N = (builds or Builds()).neighborhood(G)
     family = [(v, star(K, (v,)).vertices) for v in K.vertices]
     nerve_K = nerve(family)
     passed = N == nerve_K
@@ -269,14 +310,14 @@ def verify_nerve_identity(Z: Z2Complex) -> VerificationOutcome:
     )
 
 
-def verify_cone_graph(G: Graph) -> VerificationOutcome:
+def verify_cone_graph(G: Graph, *, builds: Builds | None = None) -> VerificationOutcome:
     """Adding a dominating vertex suspends the box complex homology and
     raises the chromatic number by one (the chi check obeys the guard)."""
+    builds = builds or Builds()
     Gp = add_cone_vertex(G)
-    B = box_complex(G).complex
-    prof_b = reduced_homology(B)
-    prof_bp = reduced_homology(box_complex(Gp).complex)
-    expected = suspension_shift(prof_b, of_empty=B.is_empty())
+    prof_b = builds.box_homology(G)
+    prof_bp = builds.box_homology(Gp)
+    expected = suspension_shift(prof_b, of_empty=builds.box(G).complex.is_empty())
     homology_ok = prof_bp == expected
     details: dict = {
         "expected": {"profile": profile_to_obj(expected)},
@@ -299,10 +340,10 @@ def verify_cone_graph(G: Graph) -> VerificationOutcome:
     )
 
 
-def verify_hom_equivalence(G: Graph) -> VerificationOutcome:
+def verify_hom_equivalence(G: Graph, *, builds: Builds | None = None) -> VerificationOutcome:
     """The Hom(K2, -) order complex and the box complex have equal homology."""
     prof_hom = reduced_homology(hom_k2_order_complex(G).complex)
-    prof_b = reduced_homology(box_complex(G).complex)
+    prof_b = (builds or Builds()).box_homology(G)
     return VerificationOutcome(
         check="hom-equivalence",
         input=G.descriptor(),
@@ -314,12 +355,13 @@ def verify_hom_equivalence(G: Graph) -> VerificationOutcome:
     )
 
 
-def verify_shore_identity(G: Graph) -> VerificationOutcome:
+def verify_shore_identity(G: Graph, *, builds: Builds | None = None) -> VerificationOutcome:
     """Each shore of the box complex is the neighborhood complex on the nose."""
-    Z = box_complex(G)
-    N = neighborhood_complex(G)
-    s0 = shore_subcomplex(Z, 0)
-    s1 = shore_subcomplex(Z, 1)
+    builds = builds or Builds()
+    Z = builds.box(G)
+    N = builds.neighborhood(G)
+    s0 = shore_subcomplex(Z, 0, builds=builds)
+    s1 = shore_subcomplex(Z, 1, builds=builds)
     passed = s0 == N and s1 == N
     return VerificationOutcome(
         check="shore-identity",

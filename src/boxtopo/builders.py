@@ -132,14 +132,15 @@ def hom_k2_order_complex(G: Graph) -> Z2Complex:
     return Z2Complex(K, Involution(mapping))
 
 
-def shore_subcomplex(Z: Z2Complex, shore: int) -> SimplicialComplex:
+def shore_subcomplex(Z: Z2Complex, shore: int, *, builds=None) -> SimplicialComplex:
     """One shore of a box complex, relabeled back to graph vertices.
 
     Provenance is verified by reconstruction: the cross edges of a box
     complex recover the graph, and the input must be exactly the box
     complex of that graph.  Cone apexes, missing CN conditions, and
     other forgeries all fail the rebuild.  The result equals the
-    neighborhood complex of the recovered graph.
+    neighborhood complex of the recovered graph.  The rebuild goes
+    through ``builds`` (a ``bounds.Builds`` scope) when one is given.
     """
     if shore not in (0, 1):
         raise ValueError("shore must be 0 or 1")
@@ -158,7 +159,7 @@ def shore_subcomplex(Z: Z2Complex, shore: int) -> SimplicialComplex:
         if u % 2 != v % 2
     ]
     G = Graph(n, cross)
-    if box_complex(G) != Z:
+    if (box_complex(G) if builds is None else builds.box(G)) != Z:
         raise ValueError("not the box complex of any graph")
     kept = [f for f in Z.complex.faces if all(v % 2 == shore for v in f)]
     return SimplicialComplex([tuple(v // 2 for v in f) for f in kept])

@@ -178,7 +178,7 @@ def chromatic_number(G: Graph, *, force: bool = False) -> int:
     if G.n > COLORING_GUARD and not force:
         raise ValueError(
             f"graph on {G.n} vertices exceeds the exact-coloring guard "
-            f"({COLORING_GUARD}); pass force=True to override"
+            f"({COLORING_GUARD}); pass force=True (`bounds --force`) to override"
         )
     lo = greedy_clique_lower_bound(G)
     hi, _ = dsatur_upper_bound(G)

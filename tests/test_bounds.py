@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from boxtopo import bounds, builders, cli
 from boxtopo.bounds import (
     BoundReport,
+    Builds,
     lovasz_bound,
     neighborhood_realizability_search,
     sarkaria_bound,
@@ -226,3 +228,43 @@ def test_badness_amplifier_on_small_graphs():
             Gk = cone_k(G, k)
             assert lovasz_bound(Gk).value == lov + k
             assert chromatic_number(Gk) == chi + k
+
+
+def verify_pairs(max_n: int) -> list:
+    """The (check name, input) pairs that `verify all --max-n max_n` runs."""
+    corpus = connected_graph_corpus(max_n)
+    return [
+        (check, x)
+        for check, cap, inputs in cli.ALL_SUITES.values()
+        for x in inputs([G for G in corpus if G.n <= min(max_n, cap)])
+    ]
+
+
+def test_verify_builds_each_box_complex_once_per_graph_and_input(tmp_path, monkeypatch):
+    pairs = verify_pairs(5)
+    # each graph input, the cone graph of each cone input, and the graph
+    # each roundtrip input constructs, is one build in that input's scope
+    budget = (
+        len({x for _, x in pairs if isinstance(x, Graph)})
+        + sum(check == "verify_cone_graph" for check, _ in pairs)
+        + sum(check == "verify_construction_roundtrip" for check, _ in pairs)
+    )
+    built = []
+
+    def counting_box_complex(G):
+        built.append(G)
+        return box_complex(G)
+
+    monkeypatch.setattr(bounds, "box_complex", counting_box_complex)
+    monkeypatch.setattr(builders, "box_complex", counting_box_complex)
+    assert cli.main(["verify", "all", "--max-n", "5", "-o", str(tmp_path / "v.json")]) == 0
+    assert 0 < len(built) <= budget
+
+
+def test_every_check_gives_the_same_outcome_with_a_shared_scope():
+    # one scope across all inputs: entries keyed on one labeled graph must
+    # never answer for another
+    shared = Builds()
+    for check, x in verify_pairs(5):
+        fn = getattr(bounds, check)
+        assert fn(x, builds=shared) == fn(x), (check, x)

@@ -12,6 +12,7 @@ import itertools
 import pytest
 
 from boxtopo import simplicial
+from boxtopo.bounds import Builds
 from boxtopo.builders import (
     box_complex,
     box0_complex,
@@ -199,6 +200,16 @@ def test_shore_subcomplex_rejects_box0():
     Z = box0_complex(complete_graph(2))
     with pytest.raises(ValueError):
         shore_subcomplex(Z, 0)
+
+
+def test_shore_subcomplex_with_a_scope_still_rejects_forgeries():
+    # the scope already holds B(G) for the graph that B0(G)'s cross edges recover
+    for G in (complete_graph(2), cycle_graph(5)):
+        builds = Builds()
+        assert shore_subcomplex(builds.box(G), 1, builds=builds) == neighborhood_complex(G)
+        for forged in (box0_complex(G), cones_over_shores_complex(G)):
+            with pytest.raises(ValueError):
+                shore_subcomplex(forged, 0, builds=builds)
 
 
 def test_shore_subcomplex_rejects_hom_complex():

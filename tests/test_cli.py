@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from boxtopo import bounds as bd
 from boxtopo import simplicial
 from boxtopo.cli import main
 from boxtopo.graphs import graph_from_obj, kneser_graph
@@ -99,6 +100,26 @@ def test_bounds_guard_exit_2(tmp_path):
     obj = {"n": 25, "edges": [[i, i + 1] for i in range(24)]}
     g.write_text(json.dumps(obj))
     assert run(tmp_path, "bounds", str(g), "--exact") == 2
+
+
+def test_exact_coloring_guard_names_the_cli_flag(tmp_path, capsys):
+    g = tmp_path / "p21.json"
+    g.write_text(json.dumps({"n": 21, "edges": [[i, i + 1] for i in range(20)]}))
+    assert run(tmp_path, "bounds", str(g), "--exact") == 2
+    assert "--force" in capsys.readouterr().err
+    assert run(tmp_path, "bounds", str(g), "--exact", "--force", "-o", str(tmp_path / "b.json")) == 0
+
+
+def test_bounds_refuses_an_oversized_graph_before_lovasz(tmp_path, capsys, monkeypatch):
+    # under this budget N(K8) (254 faces) would pass and B(K8) (6558) does not
+    g = tmp_path / "k8.json"
+    run(tmp_path, "gen", "complete", "8", "-o", str(g))
+    monkeypatch.setattr(simplicial, "FACE_BUDGET", 1000)
+    lovasz_calls = []
+    monkeypatch.setattr(bd, "lovasz_bound", lovasz_calls.append)
+    assert run(tmp_path, "bounds", str(g)) == 2
+    assert lovasz_calls == []
+    assert "face budget" in capsys.readouterr().err
 
 
 def test_bounds_on_a_long_path_needs_no_force(tmp_path):
@@ -233,8 +254,11 @@ def test_null_graph_bounds_exit_2(tmp_path, capsys):
 # "bounds_k4", "bounds_k6" and "bounds_kg62" (conn > 0 for both bounds, so
 # the parent ran its pi1 check on B(G) and on B0(G)) were recorded while the
 # bounds were still computed on B(G) and B0(G), before N(G) and susp B(G).
+# "verify6" was recorded while verify still ran suite by suite, before the
+# checks on one input shared one Builds scope.
 PINNED_DIGESTS = {
     "verify": "111aa2e8a8cafa5e79dc756f347f8719000d8d451298a7a6a7c9404b2a60dada",
+    "verify6": "27f5093c32d313c684a09859dc56ba347c4d3073221f84d07ec7f8e3094cd067",
     "box": "aadf15b1298d7fa0400a8087931609694b5ff22f8229fa221e5355f2b38ea4e3",
     "sd": "7a3bb551e5cad8cf273820786749d22ce94aeb5e1609b49b8258f0c7ec892990",
     "hom": "acccf187b16bd34acf94d4dcd0e95dece47871660cef5d87c64962ca980ce6f5",
@@ -261,6 +285,7 @@ def test_output_bytes_match_pinned_digests(tmp_path):
     rp2.write_text(json.dumps({"facets": RP2_FACETS}))
     paths = {
         "verify": out("verify", "verify", "all", "--max-n", "5"),
+        "verify6": out("verify6", "verify", "all", "--max-n", "6"),
         "box": out("box", "complex", "box", g),
         "hom": out("hom", "complex", "hom", g),
         "bounds": out("bounds", "bounds", kg, "--exact"),
