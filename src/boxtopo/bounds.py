@@ -18,9 +18,9 @@ homotopy equivalences: equal Betti/torsion tables and matching Euler
 characteristics.  A pass means "consistent with", not "proves".
 
 Each verify_* check, and builders.shore_subcomplex, takes a keyword-only
-``builds``: a Builds scope that memoizes B(G), N(G) and their reduced
-homology per labeled graph.  Checks that share a scope build each of
-these once; without one, a check makes a fresh scope of its own.
+``builds``: a Builds scope that memoizes B(G), N(G) and H~(B(G)) per
+labeled graph.  Checks that share a scope build each of these once;
+without one, a check makes a fresh scope of its own.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class VerificationOutcome:
 
 
 class Builds:
-    """B(G), N(G) and their reduced homology, each computed once per scope.
+    """B(G), N(G) and H~(B(G)), each computed once per scope.
 
     Keyed on the labeled graph (n, edges): shore faces depend on the
     labels, so isomorphic graphs do not share entries.  The builders and
@@ -133,9 +133,6 @@ class Builds:
 
     def box_homology(self, G: Graph) -> HomologyProfile:
         return self._get("box homology", G, lambda: reduced_homology(self.box(G).complex))
-
-    def neighborhood_homology(self, G: Graph) -> HomologyProfile:
-        return self._get("nbhd homology", G, lambda: reduced_homology(self.neighborhood(G)))
 
 
 def _check_nonnull(G: Graph) -> None:
@@ -223,7 +220,7 @@ def verify_suspension_relation(G: Graph, *, builds: Builds | None = None) -> Ver
 def verify_shore_retract(G: Graph, *, builds: Builds | None = None) -> VerificationOutcome:
     """The neighborhood complex and the box complex must have equal homology."""
     builds = builds or Builds()
-    prof_n = builds.neighborhood_homology(G)
+    prof_n = reduced_homology(builds.neighborhood(G))
     prof_b = builds.box_homology(G)
     return VerificationOutcome(
         check="shore-retract",
@@ -272,7 +269,7 @@ def verify_construction_roundtrip(
     target = reduced_homology(Z.complex)
     sd = subdivide_involution(Z)
     G = graph_from_z2_complex(sd)
-    prof_n = builds.neighborhood_homology(G)
+    prof_n = reduced_homology(builds.neighborhood(G))
     prof_b = builds.box_homology(G)
     passed = prof_n == target and prof_b == target
     return VerificationOutcome(

@@ -3,7 +3,7 @@
 Box-type complexes live on two shores: graph vertex v becomes label 2v
 on shore 0 and 2v+1 on shore 1, so the shore swap is label XOR 1.  The
 cone apexes, when present, are the two smallest labels unused by the
-shores (2n and 2n+1).
+shores (2n and 2n+1), so XOR 1 swaps them too.
 """
 
 from __future__ import annotations
@@ -35,26 +35,24 @@ def neighborhood_complex(G: Graph) -> SimplicialComplex:
     return from_facets([G.adj[v] for v in range(G.n) if G.adj[v]])
 
 
-def _box_facets(G: Graph) -> set[tuple[Face, Face]]:
-    """Maximal box faces as (A, B) pairs of graph-vertex tuples.
+def _box_facets(G: Graph, N: SimplicialComplex) -> list[Face]:
+    """Maximal box faces, shore-encoded, from G and its neighborhood complex N.
 
-    Every maximal pair is (CN(CN(S)), CN(S)) for some face S of the
-    neighborhood complex, and every such pair is maximal.
+    Every maximal pair is (CN(CN(S)), CN(S)) for some face S of N, and
+    every such pair is maximal.
     """
-    N = neighborhood_complex(G)
-    facets: set[tuple[Face, Face]] = set()
+    pairs: set[tuple[Face, Face]] = set()
     for S in N.faces:
         B = common_neighbors(G, S)
         A = common_neighbors(G, B)
-        facets.add((tuple(sorted(A)), tuple(sorted(B))))
-    return facets
+        pairs.add((tuple(sorted(A)), tuple(sorted(B))))
+    return [_encode_pair(A, B) for A, B in pairs]
 
 
-def _shore_swap_involution(K: SimplicialComplex, extra: dict[int, int] | None = None) -> Involution:
-    mapping = {v: v ^ 1 for v in K.vertices if extra is None or v not in extra}
-    if extra:
-        mapping.update(extra)
-    return Involution(mapping)
+def _shore_swapped(facets: list[Face]) -> Z2Complex:
+    """The closure of shore-encoded facets with the shore swap, label XOR 1."""
+    K = from_facets(facets)
+    return Z2Complex(K, Involution({v: v ^ 1 for v in K.vertices}))
 
 
 def box_complex(G: Graph) -> Z2Complex:
@@ -64,8 +62,7 @@ def box_complex(G: Graph) -> Z2Complex:
     Empty when G has no edge.  The shore swap is a free involution; the
     validator runs on construction.
     """
-    K = from_facets(_encode_pair(A, B) for A, B in _box_facets(G))
-    return Z2Complex(K, _shore_swap_involution(K))
+    return _shore_swapped(_box_facets(G, neighborhood_complex(G)))
 
 
 def box0_complex(G: Graph) -> Z2Complex:
@@ -75,29 +72,25 @@ def box0_complex(G: Graph) -> Z2Complex:
     cross pair with both sides nonempty already satisfies the CN
     conditions, and one-sided faces are vacuously complete bipartite.
     """
-    facets = [_encode_pair(A, B) for A, B in _box_facets(G)]
+    facets = _box_facets(G, neighborhood_complex(G))
     facets.append(_encode_pair(range(G.n), ()))
     facets.append(_encode_pair((), range(G.n)))
-    K = from_facets(facets)
-    return Z2Complex(K, _shore_swap_involution(K))
+    return _shore_swapped(facets)
 
 
 def cones_over_shores_complex(G: Graph) -> Z2Complex:
     """The box complex with each shore coned off by a fresh apex.
 
     Apex x cones exactly the shore-0 faces (sets with nonempty CN) and
-    apex y the shore-1 faces; the involution swaps the apexes.
+    apex y the shore-1 faces; the shore swap exchanges the apexes.
     """
     x, y = 2 * G.n, 2 * G.n + 1
-    facets: list[Face] = [_encode_pair(A, B) for A, B in _box_facets(G)]
     N = neighborhood_complex(G)
-    facets.append((x,))
-    facets.append((y,))
+    facets = _box_facets(G, N) + [(x,), (y,)]
     for S in N.facets():
-        facets.append(tuple(sorted(_encode_pair(S, ()) + (x,))))
-        facets.append(tuple(sorted(_encode_pair((), S) + (y,))))
-    K = from_facets(facets)
-    return Z2Complex(K, _shore_swap_involution(K, extra={x: y, y: x}))
+        facets.append(_encode_pair(S, ()) + (x,))
+        facets.append(_encode_pair((), S) + (y,))
+    return _shore_swapped(facets)
 
 
 def hom_pairs(G: Graph) -> list[tuple[Face, Face]]:

@@ -28,16 +28,23 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _parse_json(text: str):
+    """json.loads, with nesting too deep for the decoder as a one-line ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 def _load_graph(path: str) -> graphs.Graph:
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        return graphs.graph_from_obj(json.loads(text))
+        return graphs.graph_from_obj(_parse_json(text))
     return graphs.graph_from_edge_list(text)
 
 
 def _load_complex(path: str):
-    obj = json.loads(Path(path).read_text())
-    return simplicial.complex_from_obj(obj)
+    return simplicial.complex_from_obj(_parse_json(Path(path).read_text()))
 
 
 # ---------------------------------------------------------------------------

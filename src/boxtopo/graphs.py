@@ -27,6 +27,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        check_face_budget(n, f"a graph on {n:,} vertices")
         canon: set[Edge] = set()
         for e in edges:
             u, v = e
@@ -202,7 +203,8 @@ def complete_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle graph needs n >= 3")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    # the edges are listed lazily, after Graph has checked n
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def kneser_vertex_subsets(n: int, k: int) -> list[tuple[int, ...]]:

@@ -131,8 +131,9 @@ class Involution:
 class Z2Complex:
     """A simplicial complex with a free simplicial involution.
 
-    Validation always runs: the action must be an order-two vertex
-    bijection of the complex, must map faces to faces, and no face may
+    Validation always runs: the action (order two by construction of
+    :class:`Involution`) must map the vertices into the complex and
+    faces to faces, and no face may
     be setwise fixed (a setwise-fixed simplex fixes its barycenter, so
     this is the exact simplicial freeness condition).
     """
@@ -150,8 +151,6 @@ class Z2Complex:
                 raise ValueError(f"action undefined on vertex {v}")
             if d[v] not in vertex_set:
                 raise ValueError(f"action sends {v} outside the complex")
-            if d[d[v]] != v:
-                raise ValueError(f"action is not order two at {v}")
         for f in complex.faces:
             img = tuple(sorted(d[v] for v in f))
             if img not in complex.faces:
@@ -275,8 +274,7 @@ def subdivide_involution(Z: Z2Complex) -> Z2Complex:
     index = {f: i for i, f in enumerate(order)}
     act = Z.action
     mapping = {index[f]: index[act.on_face(f)] for f in order}
-    sd = barycentric_subdivision(Z.complex)
-    return Z2Complex(sd, Involution(mapping))
+    return Z2Complex(order_complex(order), Involution(mapping))
 
 
 def fresh_labels(K: SimplicialComplex, count: int) -> tuple[int, ...]:
@@ -464,8 +462,8 @@ def complex_to_obj(
         "facets": [list(f) for f in K.facets()],
     }
     if action is not None:
-        restricted = {v: action.as_dict()[v] for v in K.vertices}
-        obj["involution"] = {"map": {str(v): w for v, w in sorted(restricted.items())}}
+        act = action.as_dict()
+        obj["involution"] = {"map": {str(v): act[v] for v in K.vertices}}
     if shore_vertices is not None:
         obj["shore_vertices"] = shore_vertices
     return obj

@@ -11,7 +11,7 @@ import itertools
 
 import pytest
 
-from boxtopo import simplicial
+from boxtopo import builders, simplicial
 from boxtopo.bounds import Builds
 from boxtopo.builders import (
     box_complex,
@@ -132,6 +132,25 @@ def test_cones_over_shores_k2_is_hexagon():
     assert K.f_vector() == (6, 6)
     prof = reduced_homology(K)
     assert prof.betti(0) == 0 and prof.betti(1) == 1
+
+
+def test_cones_over_shores_builds_the_neighborhood_complex_once(monkeypatch):
+    calls = []
+
+    def counted(G):
+        calls.append(G)
+        return neighborhood_complex(G)
+
+    monkeypatch.setattr(builders, "neighborhood_complex", counted)
+    cones_over_shores_complex(cycle_graph(5))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("G", CORPUS, ids=lambda G: G.descriptor())
+def test_cones_over_shores_action_swaps_the_apexes(G):
+    act = cones_over_shores_complex(G).action
+    x, y = 2 * G.n, 2 * G.n + 1
+    assert act(x) == y and act(y) == x
 
 
 @pytest.mark.parametrize("G", CORPUS, ids=lambda G: G.descriptor())

@@ -133,8 +133,10 @@ def test_bounds_on_a_long_path_needs_no_force(tmp_path):
 # Each input builds a complex past the face budget: B(K14) has 4,782,966
 # faces, the closures of a 24- and a 40-vertex facet over 2^24, Hom(K2, K12)
 # has 523,250 vertices and far more edges, sd(B(K8)) has millions of chains,
-# and KG(40, 20) has C(40, 20) vertices.  sd(B(K8)) runs under a smaller
-# budget to stay fast; the others are refused at the default one.
+# KG(40, 20) has C(40, 20) vertices, and a graph of a million and one
+# vertices, refused before its adjacency (about half a gigabyte) is allocated,
+# has more vertices than the budget.  sd(B(K8)) runs under a smaller budget
+# to stay fast; the others are refused at the default one.
 @pytest.mark.parametrize(
     "command, budget",
     [
@@ -144,6 +146,8 @@ def test_bounds_on_a_long_path_needs_no_force(tmp_path):
         ("complex hom k12", None),
         ("complex sd boxk8", 100_000),
         ("gen kneser 40 20", None),
+        ("bounds n1000001", None),
+        ("gen cycle 1000001", None),
     ],
 )
 def test_oversized_inputs_exit_2(tmp_path, capsys, monkeypatch, command, budget):
@@ -151,6 +155,7 @@ def test_oversized_inputs_exit_2(tmp_path, capsys, monkeypatch, command, budget)
         run(tmp_path, "gen", "complete", str(n), "-o", str(tmp_path / f"k{n}"))
     run(tmp_path, "complex", "box", str(tmp_path / "k8"), "-o", str(tmp_path / "boxk8"))
     (tmp_path / "facet40").write_text(json.dumps({"facets": [list(range(40))]}))
+    (tmp_path / "n1000001").write_text('{"n": 1000001, "edges": []}')
     capsys.readouterr()
     if budget is not None:
         monkeypatch.setattr(simplicial, "FACE_BUDGET", budget)
@@ -221,6 +226,10 @@ def test_parse_failure_exit_2(tmp_path, capsys):
         ("bounds", '{"n": true, "edges": []}'),
         ("homology", '{"facets": [[true, 2]]}'),
         ("complex sd", '{"facets": [[0], [1]], "involution": {"map": {"0": true, "1": false}}}'),
+        # nesting deeper than the JSON decoder recurses
+        ("homology", "[" * 200_000),
+        ("complex sd", "[" * 200_000),
+        ("bounds", '{"n": ' + "[" * 200_000 + "]" * 200_000 + "}"),
     ]:
         bad.write_text(text)
         assert run(tmp_path, *command.split(), str(bad)) == 2
@@ -255,7 +264,9 @@ def test_null_graph_bounds_exit_2(tmp_path, capsys):
 # the parent ran its pi1 check on B(G) and on B0(G)) were recorded while the
 # bounds were still computed on B(G) and B0(G), before N(G) and susp B(G).
 # "verify6" was recorded while verify still ran suite by suite, before the
-# checks on one input shared one Builds scope.
+# checks on one input shared one Builds scope.  The "nbhd", "box0" and "bc"
+# entries (C5 and KG(5,2)) were recorded before B(G), B0(G) and the
+# cones-over-shores complex shared one shore-swap constructor.
 PINNED_DIGESTS = {
     "verify": "111aa2e8a8cafa5e79dc756f347f8719000d8d451298a7a6a7c9404b2a60dada",
     "verify6": "27f5093c32d313c684a09859dc56ba347c4d3073221f84d07ec7f8e3094cd067",
@@ -271,6 +282,12 @@ PINNED_DIGESTS = {
     "bounds_k4": "7aa4cf5f9b85993f0d7f6eb1c6defcc01bdcee64a8ff0549208212e798e02f65",
     "bounds_k6": "1c365522958cc413e4c012a6ee10586a8c437eccdd65f2c00b3716de10f888d4",
     "bounds_kg62": "102818554cacd197efea1d79fd2543a5fd900cf8fc389f868cedc867ec8c3030",
+    "nbhd_c5": "2246a9228fd32733bb2be541a264bf499ad54d709089c36c44296b6b017620b4",
+    "nbhd_kg": "2a49558588d8c184f3a7488a189002c53b4fb8e9367f98e4070e46337d173113",
+    "box0_c5": "f5ca884bdbabe8e708fa1d9fa0e851208b25ee025df0b9f84846c0d1b9702d5b",
+    "box0_kg": "86d6577fa6d5358bc9b3a999293e79e6fa42cbaf9b609620988fcd5a7ec61498",
+    "bc_c5": "357bfa6fbdcbf38bd6b38320621c49f32830db1b295e96fbf0db2e648ae4e3c3",
+    "bc_kg": "ea31b10808c5bf730585e04242bb68105bb95f3e73995b8be0493d56e537cd0c",
 }
 
 
@@ -298,5 +315,8 @@ def test_output_bytes_match_pinned_digests(tmp_path):
     paths["rp2_homology"] = out("rp2_homology", "homology", str(rp2))
     for name, *gen in (("k4", "complete", "4"), ("k6", "complete", "6"), ("kg62", "kneser", "6", "2")):
         paths[f"bounds_{name}"] = out(f"bounds_{name}", "bounds", out(name, "gen", *gen), "--exact")
+    for kind, name in (("n", "nbhd"), ("box0", "box0"), ("bc", "bc")):
+        for graph, path in (("c5", g), ("kg", kg)):
+            paths[f"{name}_{graph}"] = out(f"{name}_{graph}", "complex", kind, path)
     digests = {k: hashlib.sha256(Path(p).read_bytes()).hexdigest() for k, p in paths.items()}
     assert digests == PINNED_DIGESTS

@@ -181,6 +181,12 @@ def test_subdivide_involution_four_cycle_gives_eight_cycle():
     assert isomorphic(Z.complex, from_facets([[i, (i + 1) % 8] for i in range(8)]))
 
 
+@pytest.mark.parametrize("G", connected_graph_corpus(5), ids=lambda G: G.descriptor())
+def test_subdivide_involution_subdivides_the_box_complex(G):
+    Z = box_complex(G)
+    assert subdivide_involution(Z).complex == barycentric_subdivision(Z.complex)
+
+
 @pytest.mark.parametrize(
     "Z", [two_points_z2(), antipodal_cycle_z2(4), antipodal_cycle_z2(6), octahedron_z2()]
 )
