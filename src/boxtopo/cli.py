@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -214,6 +215,81 @@ ALL_SUITES = {
 }
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_checks(jobs: list) -> list[list[bd.VerificationOutcome]]:
+    """Each (input, checks) job's outcomes, one Builds scope per input.
+
+    The scope is dropped before the next input: each B(G), N(G) and
+    homology is computed once per input, and memory stays that of one
+    input's complexes.
+    """
+    results = []
+    for x, checks in jobs:
+        builds = bd.Builds()
+        results.append([getattr(bd, check)(x, builds=builds) for check in checks])
+    return results
+
+
+def _run_checks_forked(jobs: list, workers: int) -> list[list[bd.VerificationOutcome]]:
+    """_run_checks over jobs[w::workers] in forked worker w, merged in job order.
+
+    The inputs are inherited, never pickled (graphs and complexes refuse
+    setattr, so they would not unpickle); only the outcomes, or the
+    exception a worker raised, come back.  Every worker is reaped before
+    this returns, and on any error the ones still running are killed.
+    """
+    import pickle
+    import signal
+
+    running: dict = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for w in range(workers):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker never returns into the caller's stack
+                code = 1
+                try:
+                    os.close(r)
+                    try:
+                        reply = (None, _run_checks(jobs[w::workers]))
+                    except BaseException as exc:  # re-raised in the parent
+                        reply = (exc, None)
+                    with os.fdopen(wr, "wb") as pipe:
+                        pipe.write(pickle.dumps(reply))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wr)
+            running[pid] = os.fdopen(r, "rb")
+        results: list = [None] * len(jobs)
+        for w, pid in enumerate(list(running)):
+            with running[pid] as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del running[pid]
+            if not data:
+                raise ChildProcessError(
+                    f"a verify worker sent no outcomes "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})"
+                )
+            exc, outcomes = pickle.loads(data)
+            if exc is not None:
+                raise exc
+            results[w::workers] = outcomes
+        return results
+    finally:
+        for pid, pipe in running.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "nbhd-search":
         if args.target is None or args.n is None:
@@ -232,6 +308,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             _emit(dumps_canonical(obj), args.output)
         return 0
 
+    if args.max_n < 0:
+        raise ValueError(f"--max-n must be at least 0, not {args.max_n}")
     suites = list(ALL_SUITES) if args.suite == "all" else [args.suite]
     caps = {suite: min(args.max_n, ALL_SUITES[suite][1]) for suite in suites}
     corpus_n = max(caps.values())
@@ -246,13 +324,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         check, _, inputs = ALL_SUITES[suite]
         for x in inputs([G for G in corpus if G.n <= caps[suite]]):
             checks_by_input.setdefault(x, []).append(check)
-    # the checks on one input share one Builds scope, dropped before the
-    # next input: each B(G), N(G) and homology is computed once per input,
-    # and memory stays that of one input's complexes
-    outcomes: list[bd.VerificationOutcome] = []
-    for x, checks in checks_by_input.items():
-        builds = bd.Builds()
-        outcomes.extend(getattr(bd, check)(x, builds=builds) for check in checks)
+    # inputs share no state, so their checks are split across forked
+    # workers, one per usable CPU; the merge keeps the serial order, so tied
+    # sort keys come out as they would in one process
+    jobs = list(checks_by_input.items())
+    workers = min(_usable_cpus(), len(jobs))
+    if workers > 1 and hasattr(os, "fork"):
+        per_job = _run_checks_forked(jobs, workers)
+    else:
+        per_job = _run_checks(jobs)
+    outcomes = [o for job in per_job for o in job]
     outcomes.sort(key=lambda o: (o.check, o.input))
     if args.format == "table":
         lines = [

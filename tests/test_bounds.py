@@ -257,6 +257,9 @@ def test_verify_builds_each_box_complex_once_per_graph_and_input(tmp_path, monke
 
     monkeypatch.setattr(bounds, "box_complex", counting_box_complex)
     monkeypatch.setattr(builders, "box_complex", counting_box_complex)
+    # one usable CPU: the checks run in this process, where the wrapper
+    # counts them (forked workers call the same per-input function)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     assert cli.main(["verify", "all", "--max-n", "5", "-o", str(tmp_path / "v.json")]) == 0
     assert 0 < len(built) <= budget
 

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from boxtopo import bounds as bd
-from boxtopo import simplicial
+from boxtopo import cli, simplicial
 from boxtopo.cli import main
 from boxtopo.graphs import graph_from_obj, kneser_graph
 from boxtopo.simplicial import complex_from_obj, from_facets
@@ -234,6 +237,9 @@ def test_parse_failure_exit_2(tmp_path, capsys):
         bad.write_text(text)
         assert run(tmp_path, *command.split(), str(bad)) == 2
         assert capsys.readouterr().err.count("\n") == 1
+    # a negative vertex cap is refused, not read as "Petersen graph only"
+    assert run(tmp_path, "verify", "suspension", "--max-n", "-5") == 2
+    assert "--max-n" in capsys.readouterr().err
 
 
 def test_verify_guard_exit_2(tmp_path, capsys):
@@ -243,6 +249,40 @@ def test_verify_guard_exit_2(tmp_path, capsys):
     # the guard reads the corpus a suite builds: roundtrip needs none
     out = str(tmp_path / "r.json")
     assert run(tmp_path, "verify", "roundtrip", "--max-n", "100", "-o", out) == 0
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    out = tmp_path / "v.json"
+    assert run(tmp_path, "verify", "all", "--max-n", "5", "-o", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_DIGESTS["verify"]
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_check_exits_2_with_one_line(tmp_path, capsys, monkeypatch, workers):
+    def broken(x, builds=None):
+        raise ValueError("broken check")
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(bd, "verify_shore_retract", broken)
+    assert run(tmp_path, "verify", "all", "--max-n", "5", "-o", str(tmp_path / "v.json")) == 2
+    err = capsys.readouterr().err
+    assert err == "error: broken check\n"
+    assert_no_worker_left()
+
+
+def test_importing_boxtopo_leaves_multiprocessing_out():
+    code = "import sys, boxtopo.cli; assert 'multiprocessing' not in sys.modules"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 def test_null_graph_bounds_exit_2(tmp_path, capsys):
