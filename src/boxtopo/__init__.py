@@ -7,7 +7,6 @@ from .simplicial import (
     Z2Complex,
     antipodal_cycle_z2,
     barycentric_subdivision,
-    cone,
     euler_characteristic,
     from_facets,
     isomorphic,
@@ -31,7 +30,6 @@ from .graphs import (
     connected_graphs,
     cycle_graph,
     graph_from_z2_complex,
-    is_complete_bipartite_between,
     kneser_graph,
 )
 from .builders import (

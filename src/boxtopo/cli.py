@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -348,7 +349,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process.
+
+    Each subcommand stores the name of its cmd_* function, which main looks
+    up in this module when it runs, so wrappers patched onto it see every
+    call.
+    """
     p = argparse.ArgumentParser(
         prog="boxtopo",
         description="Box complexes, exact homology, and chromatic lower bounds",
@@ -361,19 +369,19 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--base", help="base graph file (cone)")
     g.add_argument("--k", type=int, default=1, help="cone iterations (default 1)")
     g.add_argument("-o", "--output")
-    g.set_defaults(func=cmd_gen)
+    g.set_defaults(func="cmd_gen")
 
     c = sub.add_parser("complex", help="build a complex from a graph or complex file")
     c.add_argument("kind", choices=["n", "box", "box0", "bc", "hom", "sd", "susp"])
     c.add_argument("input")
     c.add_argument("-o", "--output")
-    c.set_defaults(func=cmd_complex)
+    c.set_defaults(func="cmd_complex")
 
     h = sub.add_parser("homology", help="reduced homology of a complex file")
     h.add_argument("input")
     h.add_argument("--format", choices=["json", "table"], default="json")
     h.add_argument("-o", "--output")
-    h.set_defaults(func=cmd_homology)
+    h.set_defaults(func="cmd_homology")
 
     b = sub.add_parser("bounds", help="chromatic lower bounds for a graph file")
     b.add_argument("input")
@@ -381,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--force", action="store_true", help="override the exact-coloring guard")
     b.add_argument("--format", choices=["json", "table"], default="json")
     b.add_argument("-o", "--output")
-    b.set_defaults(func=cmd_bounds)
+    b.set_defaults(func="cmd_bounds")
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=list(ALL_SUITES) + ["all", "nbhd-search"])
@@ -390,16 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--target", help="target complex file for nbhd-search")
     v.add_argument("--format", choices=["json", "table"], default="json")
     v.add_argument("-o", "--output")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func="cmd_verify")
 
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

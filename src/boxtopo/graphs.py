@@ -77,14 +77,6 @@ def common_neighbors(G: Graph, A: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def is_complete_bipartite_between(G: Graph, A: Iterable[int], B: Iterable[int]) -> bool:
-    """True iff every cross pair a-b is an edge; vacuously true on empty sides."""
-    A, B = set(A), set(B)
-    if A & B:
-        raise ValueError("shores must be disjoint")
-    return all(b in G.adj[a] for a in A for b in B)
-
-
 # ---------------------------------------------------------------------------
 # Exact chromatic number
 # ---------------------------------------------------------------------------

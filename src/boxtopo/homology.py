@@ -4,7 +4,10 @@ All linear algebra is exact: boundary maps are stored as sparse columns
 of Python ints, so elimination entry growth is handled by arbitrary
 precision arithmetic.  Every complex is reduced by elementary collapses
 before its boundary maps are built; collapses preserve the homotopy
-type, so the reduced homology is that of the input.  Unit pivots are
+type, so the reduced homology is that of the input.  The collapse
+kernel numbers each face once and works on lists indexed by those
+numbers (boundaries, live-coface counts, sums of coface numbers), so
+removing a free pair hashes no face and sorts nothing.  Unit pivots are
 eliminated sparsely and only the block left without a unit entry goes
 to the dense Smith normal form.
 
@@ -362,38 +365,45 @@ def collapse_reduce(K: SimplicialComplex) -> SimplicialComplex:
     """Remove free pairs until none remain; preserves the homotopy type.
 
     A face is free when it has exactly one codimension-one coface (that
-    coface is then automatically its only coface, and maximal).  Each live
-    face keeps the number of its codimension-one cofaces and the sum of the
-    vertices they add, so a free face's coface is read off without a search.
+    coface is then automatically its only coface, and maximal).  Faces are
+    numbered once, in the iteration order of a set of them.  Per number the
+    kernel keeps the face's boundary as a list of numbers, the count of its
+    live codimension-one cofaces (-1 once removed) and the sum of their
+    numbers, so a free face's coface is that sum: no search, sort or
+    lookup.  Free faces are taken first in, first out, seeded in number
+    order, and the survivors keep that order.
     """
-    # the keys of count are the live faces, in the iteration order of a set
-    count = dict.fromkeys(set(K.faces), 0)
-    added = dict.fromkeys(count, 0)
-    for f in count:
+    faces = list(set(K.faces))
+    number = dict(zip(faces, range(len(faces)))).__getitem__
+    count = [0] * len(faces)
+    cosum = [0] * len(faces)
+    # sub-faces in the order of the omitted position, f[0] first
+    boundary: list[list[int]] = [[]] * len(faces)
+    for i, f in enumerate(faces):
         if len(f) > 1:
-            for v, sub in zip(reversed(f), combinations(f, len(f) - 1)):
-                count[sub] += 1
-                added[sub] += v
+            b = list(map(number, combinations(f, len(f) - 1)))
+            b.reverse()
+            boundary[i] = b
+            for s in b:
+                count[s] += 1
+                cosum[s] += i
 
-    queue = deque(f for f, c in count.items() if c == 1)
+    queue = deque(i for i, c in enumerate(count) if c == 1)
     while queue:
-        f = queue.popleft()
-        if count.get(f) != 1:
+        i = queue.popleft()
+        if count[i] != 1:
             continue
-        # count[f] == 1, so added[f] is the one vertex its coface adds
-        tau = tuple(sorted(f + (added[f],)))
-        del count[f], count[tau]
-        for g in (f, tau):
-            if len(g) > 1:
-                # sub-faces in the order of the omitted position, g[0] first
-                for v, sub in zip(g, reversed(list(combinations(g, len(g) - 1)))):
-                    c = count.get(sub)
-                    if c is not None:
-                        count[sub] = c - 1
-                        added[sub] -= v
-                        if c == 2:
-                            queue.append(sub)
-    return SimplicialComplex(count)
+        t = cosum[i]  # the one live coface
+        count[i] = count[t] = -1
+        for g in (i, t):
+            for s in boundary[g]:
+                c = count[s]
+                if c > 0:  # a live face of g has g among its cofaces
+                    count[s] = c - 1
+                    cosum[s] -= g
+                    if c == 2:
+                        queue.append(s)
+    return SimplicialComplex(f for f, c in zip(faces, count) if c >= 0)
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ class Z2Complex:
             if d[v] not in vertex_set:
                 raise ValueError(f"action sends {v} outside the complex")
         for f in complex.faces:
-            img = tuple(sorted(d[v] for v in f))
+            img = tuple(sorted(map(d.__getitem__, f)))
             if img not in complex.faces:
                 raise ValueError(f"action is not simplicial: image of {f} is not a face")
             if img == f:
@@ -339,17 +339,6 @@ def nerve(family: Iterable[tuple[int, Iterable[Hashable]]]) -> SimplicialComplex
     for e in universe:
         facets.append([label for label, members in labeled if e in members])
     return from_facets(facets)
-
-
-def cone(K: SimplicialComplex, apex: int) -> SimplicialComplex:
-    """Join with a single fresh apex; the result is contractible."""
-    if apex in K.vertices:
-        raise ValueError(f"apex {apex} already a vertex")
-    faces: set[Face] = set(K.faces)
-    faces.add((apex,))
-    for f in K.faces:
-        faces.add(tuple(sorted(f + (apex,))))
-    return SimplicialComplex(faces)
 
 
 def _vertex_signature(K: SimplicialComplex) -> dict[int, tuple]:

@@ -28,12 +28,19 @@ from boxtopo.graphs import (
     complete_graph,
     connected_graph_corpus,
     cycle_graph,
-    is_complete_bipartite_between,
 )
 from boxtopo.homology import reduced_homology
 from boxtopo.simplicial import euler_characteristic, from_facets
 
 CORPUS = connected_graph_corpus(4) + [cycle_graph(5), complete_graph(5)]
+
+
+def is_complete_bipartite_between(G: Graph, A, B) -> bool:
+    """True iff every cross pair a-b is an edge; vacuously true on empty sides."""
+    A, B = set(A), set(B)
+    if A & B:
+        raise ValueError("shores must be disjoint")
+    return all(b in G.adj[a] for a in A for b in B)
 
 
 def direct_box_faces(G: Graph, with_cn_conditions: bool) -> set[tuple[int, ...]]:
@@ -55,6 +62,14 @@ def direct_box_faces(G: Graph, with_cn_conditions: bool) -> set[tuple[int, ...]]
                         continue
                     faces.add(tuple(sorted([2 * a for a in A] + [2 * b + 1 for b in B])))
     return faces
+
+
+def test_complete_bipartite_between():
+    assert is_complete_bipartite_between(complete_graph(4), {0, 1}, {2, 3})
+    assert not is_complete_bipartite_between(cycle_graph(5), {0}, {2})
+    assert is_complete_bipartite_between(cycle_graph(5), set(), {0, 1, 2})
+    with pytest.raises(ValueError):
+        is_complete_bipartite_between(complete_graph(4), {0, 1}, {1, 2})
 
 
 def test_neighborhood_complex_k2():

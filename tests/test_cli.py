@@ -285,6 +285,34 @@ def test_importing_boxtopo_leaves_multiprocessing_out():
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
+def test_the_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = "import boxtopo.cli as c; assert c._parser.cache_info().currsize == 0"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
+def test_a_wrapper_patched_after_the_first_call_sees_the_next(tmp_path, monkeypatch):
+    g = tmp_path / "c5.json"
+    assert run(tmp_path, "gen", "cycle", "5", "-o", str(g)) == 0
+    original, seen = cli.cmd_bounds, []
+    monkeypatch.setattr(cli, "cmd_bounds", lambda args: seen.append(args.input) or original(args))
+    assert run(tmp_path, "bounds", str(g), "-o", str(tmp_path / "b.json")) == 0
+    assert seen == [str(g)]
+
+
+def test_bad_arguments_exit_2_on_every_call(capsys):
+    for _ in range(3):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--format", "xml", "g.json"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
 def test_null_graph_bounds_exit_2(tmp_path, capsys):
     g = tmp_path / "null.json"
     g.write_text('{"n": 0, "edges": []}')

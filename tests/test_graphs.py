@@ -26,7 +26,6 @@ from boxtopo.graphs import (
     graph_from_obj,
     graph_from_z2_complex,
     graph_to_obj,
-    is_complete_bipartite_between,
     kneser_graph,
     kneser_vertex_subsets,
 )
@@ -89,14 +88,6 @@ def test_common_neighbors_monotone():
         for B in subsets:
             if A <= B and B <= set(range(G.n)):
                 assert common_neighbors(G, B) <= common_neighbors(G, A)
-
-
-def test_complete_bipartite_between():
-    assert is_complete_bipartite_between(complete_graph(4), {0, 1}, {2, 3})
-    assert not is_complete_bipartite_between(cycle_graph(5), {0}, {2})
-    assert is_complete_bipartite_between(cycle_graph(5), set(), {0, 1, 2})
-    with pytest.raises(ValueError):
-        is_complete_bipartite_between(complete_graph(4), {0, 1}, {1, 2})
 
 
 def test_chromatic_number_small():

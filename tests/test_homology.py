@@ -15,9 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxtopo import homology
-from boxtopo.builders import box_complex, box0_complex, hom_k2_order_complex, neighborhood_complex
-from boxtopo.graphs import complete_graph, connected_graph_corpus, cycle_graph, kneser_graph
+from boxtopo import bounds, homology
+from boxtopo.bounds import lovasz_bound
+from boxtopo.builders import (
+    box_complex,
+    box0_complex,
+    cones_over_shores_complex,
+    hom_k2_order_complex,
+    neighborhood_complex,
+)
+from boxtopo.graphs import (
+    add_cone_vertex,
+    complete_graph,
+    connected_graph_corpus,
+    cycle_graph,
+    kneser_graph,
+)
 from boxtopo.homology import (
     HomologyProfile,
     bareiss_rank,
@@ -344,15 +357,36 @@ def vertex_scan_collapse(K: SimplicialComplex) -> SimplicialComplex:
 
 
 def test_collapse_matches_the_vertex_scan_reference():
-    complexes = [box0_complex(kneser_graph(5, 2)).complex]
+    complexes = [
+        box0_complex(kneser_graph(5, 2)).complex,
+        hom_k2_order_complex(complete_graph(5)).complex,
+    ]
     for G in connected_graph_corpus(5):
-        complexes += [build(G).complex for build in (box_complex, box0_complex, hom_k2_order_complex)]
+        complexes += [
+            build(G).complex
+            for build in (box_complex, box0_complex, cones_over_shores_complex, hom_k2_order_complex)
+        ]
+        complexes += [neighborhood_complex(G), box_complex(add_cone_vertex(G)).complex]
     removed = 0
     for K in complexes:
         L = collapse_reduce(K)
         assert L.faces == vertex_scan_collapse(K).faces
         removed += len(K) - len(L)
     assert removed > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=5), min_size=1, max_size=10))
+def test_collapse_matches_the_vertex_scan_reference_on_random_complexes(facets):
+    K = from_facets(facets)
+    assert collapse_reduce(K).faces == vertex_scan_collapse(K).faces
+
+
+def test_lovasz_reports_match_those_from_the_reference_collapse(monkeypatch):
+    graphs = connected_graph_corpus(6) + [kneser_graph(5, 2)]
+    reports = [lovasz_bound(G) for G in graphs]
+    monkeypatch.setattr(bounds, "collapse_reduce", vertex_scan_collapse)
+    assert reports == [lovasz_bound(G) for G in graphs]
 
 
 def test_homological_connectivity():

@@ -20,7 +20,6 @@ from boxtopo.simplicial import (
     barycentric_subdivision,
     complex_from_obj,
     complex_to_obj,
-    cone,
     euler_characteristic,
     from_facets,
     isomorphic,
@@ -38,6 +37,17 @@ from boxtopo.simplicial import (
 TRIANGLE_BOUNDARY = from_facets([[0, 1], [1, 2], [0, 2]])
 SOLID_TRIANGLE = from_facets([[0, 1, 2]])
 TETRA_BOUNDARY = from_facets(list(itertools.combinations(range(4), 3)))
+
+
+def cone(K: SimplicialComplex, apex: int) -> SimplicialComplex:
+    """Join with a single fresh apex; the result is contractible."""
+    if apex in K.vertices:
+        raise ValueError(f"apex {apex} already a vertex")
+    faces = set(K.faces)
+    faces.add((apex,))
+    for f in K.faces:
+        faces.add(tuple(sorted(f + (apex,))))
+    return SimplicialComplex(faces)
 FOUR_CYCLE = from_facets([[0, 1], [1, 2], [2, 3], [0, 3]])
 
 
