@@ -238,10 +238,13 @@ def _run_checks(jobs: list) -> list[list[bd.VerificationOutcome]]:
 
 
 def _run_checks_forked(jobs: list, workers: int) -> list[list[bd.VerificationOutcome]]:
-    """_run_checks over jobs[w::workers] in forked worker w, merged in job order.
+    """_run_checks over jobs in forked workers, merged in job order.
 
-    The inputs are inherited, never pickled (graphs and complexes refuse
-    setattr, so they would not unpickle); only the outcomes, or the
+    Each worker takes the next job number from a shared pipe whenever it
+    has finished one, so a worker slowed by other load on its CPU, or given
+    the larger inputs, does not leave the rest waiting for it.  The inputs
+    are inherited, never pickled (graphs and complexes refuse setattr, so
+    they would not unpickle); only (job number, outcomes) pairs, or the
     exception a worker raised, come back.  Every worker is reaped before
     this returns, and on any error the ones still running are killed.
     """
@@ -249,16 +252,24 @@ def _run_checks_forked(jobs: list, workers: int) -> list[list[bd.VerificationOut
     import signal
 
     running: dict = {}  # pid -> read end of its pipe, until reaped
+    todo_r, todo_w = os.pipe()  # job numbers, 4 bytes each
     try:
-        for w in range(workers):
+        for _ in range(workers):
             r, wr = os.pipe()
             pid = os.fork()
             if pid == 0:  # the worker never returns into the caller's stack
                 code = 1
                 try:
                     os.close(r)
+                    os.close(todo_w)
+                    done = []
                     try:
-                        reply = (None, _run_checks(jobs[w::workers]))
+                        # each number is written and read whole (4 bytes, an
+                        # atomic pipe transfer), so it goes to one worker only
+                        while number := os.read(todo_r, 4):
+                            i = int.from_bytes(number, "little")
+                            done.append((i, _run_checks([jobs[i]])[0]))
+                        reply = (None, done)
                     except BaseException as exc:  # re-raised in the parent
                         reply = (exc, None)
                     with os.fdopen(wr, "wb") as pipe:
@@ -268,8 +279,17 @@ def _run_checks_forked(jobs: list, workers: int) -> list[list[bd.VerificationOut
                     os._exit(code)
             os.close(wr)
             running[pid] = os.fdopen(r, "rb")
+        os.close(todo_r)
+        todo_r = -1
+        try:
+            for i in range(len(jobs)):
+                os.write(todo_w, i.to_bytes(4, "little"))
+        except BrokenPipeError:  # every worker has stopped; its reply says why
+            pass
+        os.close(todo_w)
+        todo_w = -1
         results: list = [None] * len(jobs)
-        for w, pid in enumerate(list(running)):
+        for pid in list(running):
             with running[pid] as pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
@@ -279,12 +299,16 @@ def _run_checks_forked(jobs: list, workers: int) -> list[list[bd.VerificationOut
                     f"a verify worker sent no outcomes "
                     f"(exit status {os.waitstatus_to_exitcode(status)})"
                 )
-            exc, outcomes = pickle.loads(data)
+            exc, done = pickle.loads(data)
             if exc is not None:
                 raise exc
-            results[w::workers] = outcomes
+            for i, outcomes in done:
+                results[i] = outcomes
         return results
     finally:
+        for fd in (todo_r, todo_w):
+            if fd >= 0:
+                os.close(fd)
         for pid, pipe in running.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
@@ -325,7 +349,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         check, _, inputs = ALL_SUITES[suite]
         for x in inputs([G for G in corpus if G.n <= caps[suite]]):
             checks_by_input.setdefault(x, []).append(check)
-    # inputs share no state, so their checks are split across forked
+    # inputs share no state, so their checks are shared out among forked
     # workers, one per usable CPU; the merge keeps the serial order, so tied
     # sort keys come out as they would in one process
     jobs = list(checks_by_input.items())

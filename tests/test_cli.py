@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,29 @@ def test_a_failing_check_exits_2_with_one_line(tmp_path, capsys, monkeypatch, wo
     assert run(tmp_path, "verify", "all", "--max-n", "5", "-o", str(tmp_path / "v.json")) == 2
     err = capsys.readouterr().err
     assert err == "error: broken check\n"
+    assert_no_worker_left()
+
+
+def test_a_free_worker_takes_the_jobs_a_busy_one_has_not_reached(tmp_path, monkeypatch):
+    # job 0 waits until every other job has run; with jobs split up front
+    # its worker would still hold some of them, and job 0 would time out
+    n = 12
+
+    def check(x, builds=None):
+        if x == 0:
+            deadline = time.monotonic() + 30
+            while len(list(tmp_path.iterdir())) < n - 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        else:
+            (tmp_path / str(x)).touch()
+        return x, os.getpid(), len(list(tmp_path.iterdir()))
+
+    monkeypatch.setattr(bd, "ordered_check", check, raising=False)
+    results = cli._run_checks_forked([(x, ["ordered_check"]) for x in range(n)], 2)
+    assert [r[0][0] for r in results] == list(range(n))
+    (_, first_pid, seen), *rest = (r[0] for r in results)
+    assert seen == n - 1
+    assert first_pid not in {pid for _, pid, _ in rest}
     assert_no_worker_left()
 
 
