@@ -129,31 +129,41 @@ def _k_colorable(G: Graph, k: int) -> bool:
                     best, key = v, cand
         return best
 
-    def go(assigned: int, used: int) -> bool:
-        if assigned == G.n:
-            return True
+    # one frame per colored vertex: [vertex, colors used before it, next
+    # color to try, uncolored neighbors its color was added to]; an explicit
+    # stack, so long graphs need no recursion
+    stack: list[list] = []
+    used = 0
+    while len(stack) < G.n:
         v = pick()
-        if len(neighbor_colors[v]) >= k:
-            return False
-        # trying at most one brand-new color kills color-permutation symmetry
-        limit = min(used + 1, k)
-        for c in range(limit):
-            if c in neighbor_colors[v]:
-                continue
-            colors[v] = c
-            touched = []
-            for w in G.adj[v]:
-                if colors[w] == -1 and c not in neighbor_colors[w]:
-                    neighbor_colors[w].add(c)
-                    touched.append(w)
-            if go(assigned + 1, max(used, c + 1)):
-                return True
-            colors[v] = -1
-            for w in touched:
-                neighbor_colors[w].discard(c)
-        return False
-
-    return go(0, 0)
+        if len(neighbor_colors[v]) < k:
+            stack.append([v, used, 0, []])
+        # give the top vertex its next color, backtracking while none is left
+        while True:
+            if not stack:
+                return False
+            frame = stack[-1]
+            v, before, c, touched = frame
+            if colors[v] != -1:
+                for w in touched:
+                    neighbor_colors[w].discard(colors[v])
+                touched.clear()
+                colors[v] = -1
+            # trying at most one brand-new color kills color-permutation symmetry
+            limit = min(before + 1, k)
+            while c < limit and c in neighbor_colors[v]:
+                c += 1
+            if c < limit:
+                break
+            stack.pop()
+        colors[v] = c
+        frame[2] = c + 1
+        for w in G.adj[v]:
+            if colors[w] == -1 and c not in neighbor_colors[w]:
+                neighbor_colors[w].add(c)
+                touched.append(w)
+        used = max(before, c + 1)
+    return True
 
 
 COLORING_GUARD = 20

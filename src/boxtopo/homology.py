@@ -2,14 +2,16 @@
 
 All linear algebra is exact: boundary maps are stored as sparse columns
 of Python ints, so elimination entry growth is handled by arbitrary
-precision arithmetic.  Every complex is reduced by elementary collapses
-before its boundary maps are built; collapses preserve the homotopy
-type, so the reduced homology is that of the input.  The collapse
-kernel numbers each face once and works on lists indexed by those
-numbers (boundaries, live-coface counts, sums of coface numbers), so
-removing a free pair hashes no face and sorts nothing.  Unit pivots are
-eliminated sparsely and only the block left without a unit entry goes
-to the dense Smith normal form.
+precision arithmetic.  reduced_homology reduces in three steps, each
+keeping the reduced homology: elementary collapses on the faces (they
+keep the homotopy type), the boundary maps of what is left, and
+coreduction on those maps (one vertex, then every cell with one live
+face together with that face).  Both reductions number each cell once
+and work on lists indexed by those numbers (neighbours, live counts,
+sums of live neighbours' numbers), so a pair's partner is read off a
+sum: no face is hashed and nothing sorted.  Only the cells left are
+eliminated: unit pivots sparsely, and only the block left without a
+unit entry goes to the dense Smith normal form.
 
 The reduced convention is used throughout: a point has trivial homology
 in every degree, m components give betti_0 = m - 1, and the empty
@@ -403,7 +405,76 @@ def collapse_reduce(K: SimplicialComplex) -> SimplicialComplex:
                     cosum[s] -= g
                     if c == 2:
                         queue.append(s)
-    return SimplicialComplex(f for f, c in zip(faces, count) if c >= 0)
+    # a free pair leaves the rest downward closed, so the survivors skip validation
+    return SimplicialComplex._closed(f for f, c in zip(faces, count) if c >= 0)
+
+
+# ---------------------------------------------------------------------------
+# Coreduction
+# ---------------------------------------------------------------------------
+
+def _coreduce(cc: ChainComplex) -> tuple[list[int], list[list[Column]]]:
+    """Cell counts and boundary columns of the cells coreduction leaves.
+
+    Cells are numbered once, dimension by dimension in basis order.  The
+    first vertex is deleted with the empty face of the augmented complex,
+    so what is left is the relative complex, with the reduced homology of
+    K and no augmentation.  Then coreduction pairs are deleted while one
+    exists (Mrozek–Batko): a cell a with one live boundary face b, and b.
+    The entry of b in the boundary of a is +-1, so the deletion is an
+    elementary reduction of the chain complex; b has no live face left
+    (the boundary of the boundary of a is zero), so the boundaries of the
+    cells left are those of K restricted to them.  As in collapse_reduce,
+    each cell keeps the count (-1 once deleted) and the sum of the
+    numbers of its live faces, so b is read off a sum.
+
+    Deleting a coreduction pair changes no cell's coface count, so after
+    collapse_reduce, which left no face with one coface, no reduction
+    pair (a face with one coface) can appear here.
+    """
+    off = [0]
+    for basis in cc.bases:
+        off.append(off[-1] + len(basis))
+    cofaces: list[list[int]] = [[] for _ in range(off[-1])]
+    down = [0] * off[1]
+    down_sum = [0] * off[1]
+    for k, D in enumerate(cc.columns, 1):
+        lo = off[k - 1]
+        for c, col in enumerate(D, off[k]):
+            b = [lo + i for i in col]
+            down.append(len(b))
+            down_sum.append(sum(b))
+            for s in b:
+                cofaces[s].append(c)
+
+    queue: deque[int] = deque()
+    gone = [0]  # the first vertex, paired with the empty face
+    while gone:
+        for g in gone:
+            down[g] = -1
+            for t in cofaces[g]:
+                c = down[t]
+                if c > 0:  # a live coface of g has g among its faces
+                    down[t] = c - 1
+                    down_sum[t] -= g
+                    if c == 2:
+                        queue.append(t)
+        gone = []
+        while queue and not gone:
+            a = queue.popleft()
+            if down[a] == 1:
+                gone = [a, down_sum[a]]
+
+    counts = [sum(1 for c in down[off[k]:off[k + 1]] if c >= 0) for k in range(len(cc.bases))]
+    columns = []
+    for k, D in enumerate(cc.columns, 1):
+        lo = off[k - 1]
+        columns.append([
+            {i: a for i, a in col.items() if down[lo + i] >= 0}
+            for col, c in zip(D, down[off[k]:off[k + 1]])
+            if c >= 0
+        ])
+    return counts, columns
 
 
 # ---------------------------------------------------------------------------
@@ -413,22 +484,30 @@ def collapse_reduce(K: SimplicialComplex) -> SimplicialComplex:
 def reduced_homology(K: SimplicialComplex, *, collapse: bool = True) -> HomologyProfile:
     """Reduced integer homology from Smith normal forms of the boundaries.
 
-    K is first reduced by collapse_reduce; collapse=False skips that pass
-    and serves as the reference path in tests.  Each boundary goes through
-    sparse_smith_normal_form.
+    The reduction runs in this order: collapse_reduce removes free pairs
+    (a face with one coface, and that coface) from K, boundary_matrices
+    builds the boundaries of what is left, and _coreduce deletes one
+    vertex and then coreduction pairs (a cell with one live face, and
+    that face).  Only the cells left reach sparse_smith_normal_form,
+    with no augmentation.  collapse=False skips both reductions,
+    eliminates the full boundaries with the augmentation (rank 1) and
+    serves as the reference path in tests.
     """
     if K.is_empty():
         return ZERO_PROFILE
     if collapse:
         K = collapse_reduce(K)
     cc = boundary_matrices(K)
-    counts = [len(bs) for bs in cc.bases]
-    # rank_of[k] = rank D_k, with D_0 the augmentation (rank 1 when nonempty)
+    # rank_of[k] = rank D_k, with D_0 the augmentation
     rank_of = [0] * (K.dim + 2)
     torsion_of: list[tuple[int, ...]] = [()] * (K.dim + 2)
-    rank_of[0] = 1
+    if collapse:
+        counts, columns = _coreduce(cc)
+    else:
+        counts, columns = [len(bs) for bs in cc.bases], cc.columns
+        rank_of[0] = 1
     for k in range(1, K.dim + 1):
-        snf = sparse_smith_normal_form(cc.columns[k - 1])
+        snf = sparse_smith_normal_form(columns[k - 1])
         rank_of[k] = snf.rank
         torsion_of[k] = snf.torsion
     entries = []

@@ -27,6 +27,12 @@ class SimplicialComplex:
 
     The constructor expects a downward-closed face set and rejects
     anything else; use :func:`from_facets` to build from generators.
+    It canonicalizes every face and checks the closure of whatever it is
+    given.  Two face sets skip those checks, through the private
+    :meth:`_closed`: the closure :func:`from_facets` has just built from
+    canonicalized facets, and the survivors of
+    ``homology.collapse_reduce``, a subset of a complex's faces that the
+    removal of free pairs keeps downward closed.
     """
 
     __slots__ = ("faces", "vertices", "dim")
@@ -44,9 +50,25 @@ class SimplicialComplex:
                 for sub in itertools.combinations(f, len(f) - 1):
                     if sub not in face_set:
                         raise ValueError(f"face set not downward closed: {sub} missing under {f}")
+        self._store(face_set)
+
+    @classmethod
+    def _closed(cls, faces: Iterable[Face]) -> "SimplicialComplex":
+        """A complex on faces the library has already canonicalized and closed.
+
+        The set is filled one face at a time, as the public constructor
+        fills it, so its iteration order (which collapse_reduce numbers
+        faces by) is the same as through the public constructor.
+        """
+        K = object.__new__(cls)
+        K._store(frozenset(iter(faces)))
+        return K
+
+    def _store(self, face_set: frozenset[Face]) -> None:
         object.__setattr__(self, "faces", face_set)
-        object.__setattr__(self, "vertices", tuple(sorted({v for f in face_set for v in f})))
-        object.__setattr__(self, "dim", max((len(f) for f in face_set), default=0) - 1)
+        # in a closed face set the vertices are the one-vertex faces
+        object.__setattr__(self, "vertices", tuple(sorted(f[0] for f in face_set if len(f) == 1)))
+        object.__setattr__(self, "dim", max(map(len, face_set), default=0) - 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -209,7 +231,43 @@ def from_facets(facets: Iterable[Iterable[int]]) -> SimplicialComplex:
         for k in range(1, len(t) + 1):
             faces.update(itertools.combinations(t, k))
         check_face_budget(len(faces), "the closure of the facets")
-    return SimplicialComplex(faces)
+    # combinations of a sorted tuple are sorted and every sub-face was added
+    return SimplicialComplex._closed(faces)
+
+
+def strong_core(facets: Iterable[Iterable[int]]) -> list[Face]:
+    """The facets left once no vertex is dominated (Barmak–Minian).
+
+    Vertex v is dominated when every facet holding v also holds another
+    vertex w; the link of v is then a cone with apex w, and deleting v is
+    a strong collapse, which keeps the homotopy type.  While a dominated
+    vertex exists, the smallest one is deleted and the facets that held
+    it are cut back to the maximal ones.  The result is the maximal
+    faces of the closure, sorted; an empty input gives an empty list.
+    """
+    canon = {_canon_face(f) for f in facets}
+    if () in canon:
+        raise ValueError("a facet must be a nonempty vertex set")
+    labels = sorted({v for f in canon for v in f})
+    bit = {v: 1 << i for i, v in enumerate(labels)}
+    masks = {sum(map(bit.__getitem__, f)) for f in canon}
+    masks = [m for m in masks if not any(m != g and m & g == m for g in masks)]
+    alive = list(bit.values())
+    while True:
+        for b in alive:
+            common = -1
+            for m in masks:
+                if m & b:
+                    common &= m
+            if common != b:  # every facet holding b also holds another vertex
+                break
+        else:
+            break
+        kept = [m for m in masks if not m & b]
+        cut = {m ^ b for m in masks if m & b}
+        masks = kept + [m for m in cut if not any(m & g == m for g in kept)]
+        alive.remove(b)
+    return sorted(tuple(v for v in labels if m & bit[v]) for m in masks)
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:

@@ -24,6 +24,7 @@ from boxtopo.bounds import (
 from boxtopo.builders import box0_complex, box_complex
 from boxtopo.graphs import (
     Graph,
+    add_cone_vertex,
     chromatic_number,
     complete_graph,
     cone_k,
@@ -271,3 +272,13 @@ def test_every_check_gives_the_same_outcome_with_a_shared_scope():
     for check, x in verify_pairs(5):
         fn = getattr(bounds, check)
         assert fn(x, builds=shared) == fn(x), (check, x)
+
+
+def test_box_homology_from_the_strong_core_matches_the_full_box_complex(monkeypatch):
+    built = []
+    monkeypatch.setattr(bounds, "box_complex", built.append)
+    graphs = CORPUS + [add_cone_vertex(G) for G in CORPUS]
+    for G in graphs:
+        assert Builds().box_homology(G) == reduced_homology(box_complex(G).complex, collapse=False)
+    # the homology is read off the strong core alone: no B(G) is built for it
+    assert built == []

@@ -114,6 +114,15 @@ def test_exact_coloring_guard_names_the_cli_flag(tmp_path, capsys):
     assert run(tmp_path, "bounds", str(g), "--exact", "--force", "-o", str(tmp_path / "b.json")) == 0
 
 
+def test_exact_coloring_of_a_long_cycle_needs_no_recursion(tmp_path):
+    # the coloring search used to recurse once per vertex: RecursionError, exit 1
+    g = tmp_path / "c1201.json"
+    assert run(tmp_path, "gen", "cycle", "1201", "-o", str(g)) == 0
+    out = tmp_path / "b.json"
+    assert run(tmp_path, "bounds", str(g), "--exact", "--force", "-o", str(out)) == 0
+    assert json.loads(out.read_text())["exact_chi"] == 3
+
+
 def test_bounds_refuses_an_oversized_graph_before_lovasz(tmp_path, capsys, monkeypatch):
     # under this budget N(K8) (254 faces) would pass and B(K8) (6558) does not
     g = tmp_path / "k8.json"

@@ -184,13 +184,42 @@ def test_collapse_leaves_circle_alone():
 
 
 def test_collapse_preserves_homology_on_corpus():
-    complexes = [RP2, TETRA_BOUNDARY, barycentric_subdivision(TRIANGLE_BOUNDARY)]
-    for G in connected_graph_corpus(4):
+    # collapse, then coreduction, against the unreduced reference; in RP2
+    # coreduction must leave the Z/2 to the Smith normal form
+    complexes = [
+        RP2,
+        TETRA_BOUNDARY,
+        barycentric_subdivision(TRIANGLE_BOUNDARY),
+        hom_k2_order_complex(complete_graph(4)).complex,
+    ]
+    for G in connected_graph_corpus(5):
         complexes.append(neighborhood_complex(G))
         complexes.append(box_complex(G).complex)
         complexes.append(box0_complex(G).complex)
+        complexes.append(box_complex(add_cone_vertex(G)).complex)
+        complexes.append(cones_over_shores_complex(G).complex)
     for K in complexes:
         assert reduced_homology(K, collapse=True) == reduced_homology(K, collapse=False)
+
+
+def test_only_the_cells_coreduction_leaves_reach_the_smith_normal_form(monkeypatch):
+    # Hom(K2, K5) ~ S^3: collapse removes none of its 4200 faces, and
+    # coreduction leaves the one 3-cell that carries H~3
+    K = hom_k2_order_complex(complete_graph(5)).complex
+    assert len(collapse_reduce(K)) == len(K) == 4200
+    seen = []
+    sparse = homology.sparse_smith_normal_form
+
+    def record(columns):
+        seen.append([dict(c) for c in columns])
+        return sparse(columns)
+
+    monkeypatch.setattr(homology, "sparse_smith_normal_form", record)
+    assert reduced_homology(K) == reduced_homology(K, collapse=False)
+    reduced, unreduced = seen[:K.dim], seen[K.dim:]
+    assert [len(cols) for cols in reduced] == [0, 0, 1]
+    assert reduced[2] == [{}]
+    assert sum(map(len, unreduced)) == len(K) - len(K.k_faces(0))
 
 
 def test_bound_path_on_collapsed_complex_matches_reference():
@@ -203,9 +232,10 @@ def test_bound_path_on_collapsed_complex_matches_reference():
             assert reduced_homology(L) == reduced_homology(K, collapse=False)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=5), min_size=1, max_size=14))
 def test_collapse_preserves_homology_on_random_complexes(facets):
+    # collapse, then coreduction, against the unreduced reference
     K = from_facets(facets)
     assert reduced_homology(K) == reduced_homology(K, collapse=False)
 

@@ -2,16 +2,34 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxtopo import simplicial
-from boxtopo.builders import _encode_pair, box_complex, hom_k2_order_complex, hom_pairs
-from boxtopo.graphs import Graph, connected_graph_corpus
+from boxtopo.builders import (
+    _encode_pair,
+    box0_complex,
+    box_complex,
+    cones_over_shores_complex,
+    hom_k2_order_complex,
+    hom_pairs,
+    neighborhood_complex,
+)
+from boxtopo.graphs import (
+    Graph,
+    add_cone_vertex,
+    complete_graph,
+    connected_graph_corpus,
+    cycle_graph,
+    kneser_graph,
+)
+from boxtopo.homology import collapse_reduce, reduced_homology
 from boxtopo.simplicial import (
     Involution,
     SimplicialComplex,
@@ -28,6 +46,7 @@ from boxtopo.simplicial import (
     order_complex,
     sd_vertex_faces,
     star,
+    strong_core,
     subdivide_involution,
     suspension,
     two_points_z2,
@@ -366,3 +385,112 @@ def test_z2_complex_survives_a_json_round_trip(Z):
     K, action = complex_from_obj(json.loads(text))
     assert Z2Complex(K, action) == Z
     assert json.dumps(complex_to_obj(K, action)) == text
+
+
+def dominated_vertices(facets) -> list[int]:
+    """Oracle: the vertices whose facets all hold one more common vertex."""
+    out = []
+    for v in sorted({v for f in facets for v in f}):
+        holding = [set(f) for f in facets if v in f]
+        if set.intersection(*holding) - {v}:
+            out.append(v)
+    return out
+
+
+facet_lists = st.lists(st.sets(st.integers(0, 8), min_size=1, max_size=5), max_size=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(facet_lists)
+def test_strong_core_leaves_no_dominated_vertex_and_keeps_homology(facets):
+    core = strong_core(facets)
+    assert dominated_vertices(core) == []
+    assert strong_core(core) == core
+    K, L = from_facets(facets), from_facets(core)
+    assert L.facets() == core
+    assert set(L.vertices) <= set(K.vertices)
+    assert reduced_homology(L, collapse=False) == reduced_homology(K, collapse=False)
+
+
+def test_strong_core_deletes_dominated_vertices():
+    # a path strong-collapses to a point; a cone over a circle to nothing but its apex
+    assert strong_core([[0, 1], [1, 2], [2, 3]]) == [(3,)]
+    assert strong_core([[0, 1, 9], [1, 2, 9], [0, 2, 9]]) == [(9,)]
+    assert strong_core([[0, 1], [1, 2], [0, 2]]) == [(0, 1), (0, 2), (1, 2)]
+    assert strong_core([[0, 1, 2], [0, 1], [3]]) == [(2,), (3,)]
+    assert strong_core([]) == []
+    with pytest.raises(ValueError):
+        strong_core([[0], []])
+
+
+@pytest.mark.parametrize(
+    "G",
+    [complete_graph(4), complete_graph(6), cycle_graph(5), cycle_graph(6), kneser_graph(5, 2)],
+    ids=lambda G: G.descriptor()[:12],
+)
+def test_strong_core_keeps_the_box_complex_of_a_vertex_transitive_graph(G):
+    # no vertex of these box complexes is dominated
+    facets = box_complex(G).complex.facets()
+    assert dominated_vertices(facets) == []
+    assert strong_core(facets) == facets
+
+
+def corpus_complexes() -> list[SimplicialComplex]:
+    out = []
+    for G in connected_graph_corpus(5):
+        out.append(neighborhood_complex(G))
+        for build in (box_complex, box0_complex, cones_over_shores_complex):
+            out.append(build(G).complex)
+        out.append(box_complex(add_cone_vertex(G)).complex)
+    return out
+
+
+def assert_validated_equal(K: SimplicialComplex) -> None:
+    """K equals what the public, validating constructor makes of its faces,
+    and its vertices and dimension are those of its faces."""
+    assert K == SimplicialComplex(K.faces)
+    assert K.vertices == tuple(sorted({v for f in K.faces for v in f}))
+    assert K.dim == max(map(len, K.faces), default=0) - 1
+
+
+def test_library_closures_would_pass_the_skipped_checks():
+    for K in corpus_complexes():
+        assert_validated_equal(K)
+        assert_validated_equal(from_facets(K.facets()))
+        assert_validated_equal(collapse_reduce(K))
+
+
+@settings(max_examples=100, deadline=None)
+@given(facet_lists)
+def test_library_closures_of_random_facets_would_pass_the_skipped_checks(facets):
+    K = from_facets(facets)
+    assert_validated_equal(K)
+    assert_validated_equal(collapse_reduce(K))
+    assert_validated_equal(from_facets(strong_core(facets)))
+
+
+def test_only_the_closure_and_the_collapse_skip_validation():
+    # the faces that skip the constructor's checks come from these two alone
+    callers = set()
+
+    class Scan(ast.NodeVisitor):
+        def __init__(self, path):
+            self.path, self.scope = path, ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            f = node.func
+            if isinstance(f, ast.Attribute) and f.attr == "_closed" or (
+                isinstance(f, ast.Name) and f.id == "_closed"
+            ):
+                callers.add((self.path.name, self.scope[-1]))
+            self.generic_visit(node)
+
+    src = Path(simplicial.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        Scan(path).visit(ast.parse(path.read_text()))
+    assert callers == {("simplicial.py", "from_facets"), ("homology.py", "collapse_reduce")}
