@@ -253,7 +253,7 @@ def verify_even_euler(G: Graph, *, builds: Builds | None = None) -> Verification
     K = Z.complex
     chi = euler_characteristic(K)
     act = Z.action
-    orbits_ok = all(act.on_face(f) != f and act.on_face(f) in K.faces for f in K.faces)
+    orbits_ok = all((g := act.on_face(f)) != f and g in K.faces for f in K.faces)
     per_dim_even = all(c % 2 == 0 for c in K.f_vector())
     passed = chi % 2 == 0 and orbits_ok and per_dim_even
     return VerificationOutcome(

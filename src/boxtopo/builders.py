@@ -39,13 +39,31 @@ def _box_facets(G: Graph, N: SimplicialComplex) -> list[Face]:
     """Maximal box faces, shore-encoded, from G and its neighborhood complex N.
 
     Every maximal pair is (CN(CN(S)), CN(S)) for some face S of N, and
-    every such pair is maximal.
+    every such pair is maximal.  Vertex sets are bitmasks, so CN is an
+    AND of neighbor masks; CN(S) fixes the pair, so each distinct CN(S)
+    is completed and encoded once.  The pairs go into one set of vertex
+    tuples in the order the faces of N first give them: the set's
+    iteration order is the facet order, which fixes the order from_facets
+    closes the facets in, and so the face order collapse_reduce numbers
+    faces by.
     """
-    pairs: set[tuple[Face, Face]] = set()
+    adj = [sum(1 << w for w in G.adj[v]) for v in range(G.n)]
+    cn_masks: dict[int, None] = {}  # each CN(S), in first-seen order
     for S in N.faces:
-        B = common_neighbors(G, S)
-        A = common_neighbors(G, B)
-        pairs.add((tuple(sorted(A)), tuple(sorted(B))))
+        b = -1
+        for v in S:
+            b &= adj[v]
+        cn_masks[b] = None
+
+    def members(mask: int) -> Face:
+        return tuple(v for v in range(G.n) if mask >> v & 1)
+
+    pairs: set[tuple[Face, Face]] = set()
+    for b in cn_masks:
+        a = -1
+        for v in members(b):
+            a &= adj[v]
+        pairs.add((members(a), members(b)))
     return [_encode_pair(A, B) for A, B in pairs]
 
 

@@ -237,16 +237,37 @@ def _run_checks(jobs: list) -> list[list[bd.VerificationOutcome]]:
     return results
 
 
-def _run_checks_forked(jobs: list, workers: int) -> list[list[bd.VerificationOutcome]]:
-    """_run_checks over jobs in forked workers, merged in job order.
+def _fragment(obj) -> str:
+    """dumps_canonical(obj) as an element one level into a JSON list.
+
+    The final newline is dropped and every other one gains two spaces of
+    indent; JSON escapes newlines inside strings, so every newline here is
+    a line break of the layout.
+    """
+    return dumps_canonical(obj)[:-1].replace("\n", "\n  ")
+
+
+def _outcome_records(jobs: list) -> list[list[tuple[str, str, bool, str]]]:
+    """_run_checks, with each outcome as a (check, input, passed, fragment) record."""
+    return [
+        [(o.check, o.input, o.passed, _fragment(o.to_obj())) for o in outcomes]
+        for outcomes in _run_checks(jobs)
+    ]
+
+
+def _run_checks_forked(jobs: list, workers: int, run=_run_checks) -> list[list]:
+    """run (by default _run_checks) over jobs in forked workers, merged in job order.
 
     Each worker takes the next job number from a shared pipe whenever it
     has finished one, so a worker slowed by other load on its CPU, or given
     the larger inputs, does not leave the rest waiting for it.  The inputs
     are inherited, never pickled (graphs and complexes refuse setattr, so
-    they would not unpickle); only (job number, outcomes) pairs, or the
-    exception a worker raised, come back.  Every worker is reaped before
-    this returns, and on any error the ones still running are killed.
+    they would not unpickle); only (job number, what run gave for the job)
+    pairs, or the exception a worker raised, come back.  cmd_verify runs
+    _outcome_records, so its workers send plain tuples of strings and
+    booleans, and the JSON of each outcome is written in the worker.
+    Every worker is reaped before this returns, and on any error the ones
+    still running are killed.
     """
     import pickle
     import signal
@@ -268,7 +289,7 @@ def _run_checks_forked(jobs: list, workers: int) -> list[list[bd.VerificationOut
                         # atomic pipe transfer), so it goes to one worker only
                         while number := os.read(todo_r, 4):
                             i = int.from_bytes(number, "little")
-                            done.append((i, _run_checks([jobs[i]])[0]))
+                            done.append((i, run([jobs[i]])[0]))
                         reply = (None, done)
                     except BaseException as exc:  # re-raised in the parent
                         reply = (exc, None)
@@ -316,6 +337,14 @@ def _run_checks_forked(jobs: list, workers: int) -> list[list[bd.VerificationOut
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """Run a suite (or all of them) over the corpus and write its outcomes.
+
+    Each outcome comes back from _outcome_records, in a forked worker or in
+    this process, as a (check, input, passed, fragment) record whose
+    fragment is the outcome's JSON one level into a list.  The records are
+    sorted stably by (check, input) and their fragments joined into the
+    bytes dumps_canonical would give for the list of outcomes.
+    """
     if args.suite == "nbhd-search":
         if args.target is None or args.n is None:
             raise ValueError("verify nbhd-search needs --n and --target FILE")
@@ -355,20 +384,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     jobs = list(checks_by_input.items())
     workers = min(_usable_cpus(), len(jobs))
     if workers > 1 and hasattr(os, "fork"):
-        per_job = _run_checks_forked(jobs, workers)
+        per_job = _run_checks_forked(jobs, workers, _outcome_records)
     else:
-        per_job = _run_checks(jobs)
-    outcomes = [o for job in per_job for o in job]
-    outcomes.sort(key=lambda o: (o.check, o.input))
+        per_job = _outcome_records(jobs)
+    records = [r for job in per_job for r in job]
+    records.sort(key=lambda r: (r[0], r[1]))
     if args.format == "table":
         lines = [
-            f"{'PASS' if o.passed else 'FAIL'}  {o.check:24s} {o.input}"
-            for o in outcomes
+            f"{'PASS' if passed else 'FAIL'}  {check:24s} {x}"
+            for check, x, passed, _ in records
         ]
         _emit("\n".join(lines) + "\n", args.output)
+    elif records:
+        _emit("[\n  " + ",\n  ".join(r[3] for r in records) + "\n]\n", args.output)
     else:
-        _emit(dumps_canonical([o.to_obj() for o in outcomes]), args.output)
-    return 0 if all(o.passed for o in outcomes) else 1
+        _emit(dumps_canonical([]), args.output)
+    return 0 if all(r[2] for r in records) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -280,28 +280,67 @@ def all_labeled_graphs(n: int):
 
 def _canonical_edge_set(G: Graph) -> frozenset[Edge]:
     """Canonical edge set: each degree class is relabeled onto a fixed
-    block of labels (blocks ordered by degree) and the minimum over the
-    within-block assignments is taken."""
-    by_degree: dict[int, list[int]] = {}
-    for v in range(G.n):
-        by_degree.setdefault(len(G.adj[v]), []).append(v)
-    classes = [by_degree[d] for d in sorted(by_degree)]
-    blocks = []
-    offset = 0
-    for c in classes:
-        blocks.append(range(offset, offset + len(c)))
-        offset += len(c)
-    best: tuple[Edge, ...] | None = None
-    for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        perm: dict[int, int] = {}
-        for cls, img in zip(classes, parts):
-            perm.update(zip(cls, img))
-        relabeled = tuple(
-            sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in G.edges)
-        )
-        if best is None or relabeled < best:
-            best = relabeled
-    return frozenset(best or ())
+    block of labels (blocks ordered by degree) and the least sorted edge
+    tuple over the within-block assignments is taken.
+
+    That tuple lists row 0 (the neighbors of label 0 above 0), then row 1
+    above 1, and so on; of two rows, the one holding the smallest label in
+    their symmetric difference comes first.  So the least tuple is the
+    labeling whose rows, as bitmasks with label b at bit n - 1 - b, are
+    lexicographically greatest, and it is found by individualization and
+    refinement (McKay, "Practical graph isomorphism", 1981) instead of
+    trying every assignment.  The unlabeled vertices are kept as an
+    ordered partition into cells, each cell a run of consecutive labels;
+    at first the cells are the degree classes.  Label k goes to each
+    vertex v, in turn, of the first cell, and every cell after v is split
+    into v's neighbors, then the rest.  Row k is then the greatest that
+    any labeling respecting the cells can give v.  Rows 0..k are the same
+    for every labeling that respects the split cells, because a cell's
+    vertices all have the same adjacency to every labeled vertex.  Only
+    the splits whose row k ties with the greatest are kept.
+
+    No optimal labeling is pruned.  By induction it respects the cells of
+    some kept partition, and it gives label k to some v of the first cell.
+    Its row k is optimal, so it equals the greatest row k of that split,
+    and a row k that great puts v's neighbors first in every cell: the
+    optimal labeling respects the split too.  Partial labelings that leave
+    the same ordered partition have the same completions above k, so each
+    partition is kept once.
+    """
+    n = G.n
+    adj = [sum(1 << w for w in G.adj[v]) for v in range(n)]
+    by_degree: dict[int, int] = {}
+    for v in range(n):
+        d = len(G.adj[v])
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    partitions = {tuple(by_degree[d] for d in sorted(by_degree))}
+    edges: list[Edge] = []
+    for k in range(n):
+        best, kept = -1, set()
+        for first, *later in partitions:
+            pick = first
+            while pick:
+                low = pick & -pick
+                pick ^= low
+                nbrs = adj[low.bit_length() - 1]
+                row, top, split = 0, n - k - 1, []
+                for cell in (first ^ low, *later):
+                    inside = cell & nbrs
+                    # v's neighbors take the cell's first labels
+                    c = inside.bit_count()
+                    row |= ((1 << c) - 1) << (top - c)
+                    top -= cell.bit_count()
+                    if inside:
+                        split.append(inside)
+                    if inside != cell:
+                        split.append(cell ^ inside)
+                if row > best:
+                    best, kept = row, {tuple(split)}
+                elif row == best:
+                    kept.add(tuple(split))
+        partitions = kept
+        edges.extend((k, n - 1 - b) for b in range(best.bit_length()) if best >> b & 1)
+    return frozenset(edges)
 
 
 def connected_graphs(n: int) -> list[Graph]:

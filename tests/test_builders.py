@@ -24,10 +24,12 @@ from boxtopo.builders import (
 )
 from boxtopo.graphs import (
     Graph,
+    add_cone_vertex,
     common_neighbors,
     complete_graph,
     connected_graph_corpus,
     cycle_graph,
+    kneser_graph,
 )
 from boxtopo.homology import reduced_homology
 from boxtopo.simplicial import euler_characteristic, from_facets
@@ -106,6 +108,28 @@ def test_box_complex_k3():
 @pytest.mark.parametrize("G", CORPUS, ids=lambda G: G.descriptor())
 def test_box_complex_matches_direct_enumeration(G):
     assert box_complex(G).complex.faces == direct_box_faces(G, with_cn_conditions=True)
+
+
+def set_box_facets(G: Graph, N) -> list[tuple[int, ...]]:
+    """Oracle: the set-based builder, one (CN(CN(S)), CN(S)) pair per face S of N."""
+    pairs = set()
+    for S in N.faces:
+        B = common_neighbors(G, S)
+        A = common_neighbors(G, B)
+        pairs.add((tuple(sorted(A)), tuple(sorted(B))))
+    return [builders._encode_pair(A, B) for A, B in pairs]
+
+
+def test_box_facets_on_bitmasks_match_the_set_based_builder():
+    six = connected_graph_corpus(6)
+    inputs = six + [add_cone_vertex(G) for G in six]
+    inputs += [kneser_graph(5, 2), Graph(1, []), Graph(5, [])]
+    for G in inputs:
+        N = neighborhood_complex(G)
+        # the same facets in the same order: the order is the order
+        # from_facets closes them in, which fixes the face order that
+        # collapse_reduce numbers faces by
+        assert builders._box_facets(G, N) == set_box_facets(G, N), G.descriptor()
 
 
 @pytest.mark.parametrize("G", CORPUS, ids=lambda G: G.descriptor())

@@ -288,6 +288,47 @@ def test_a_failing_check_exits_2_with_one_line(tmp_path, capsys, monkeypatch, wo
     assert_no_worker_left()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_with_no_outcomes_writes_an_empty_list(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    out = tmp_path / "v.json"
+    assert run(tmp_path, "verify", "cone", "--max-n", "0", "-o", str(out)) == 0
+    assert out.read_bytes() == b"[]\n"
+
+
+# sha256 of `verify all --max-n 5 --format table`, recorded while the
+# workers still sent VerificationOutcome objects back
+TABLE_DIGEST = "c7aa6da630254a9b67ed17ae0d2f4ca0fd62518c46c9c0a9d09fa9ce5d53f21a"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_table_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    out = tmp_path / "v.txt"
+    argv = ["verify", "all", "--max-n", "5", "--format", "table", "-o", str(out)]
+    assert run(tmp_path, *argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_DIGEST
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_joined_fragments_are_the_canonical_json_of_the_outcomes(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    out = tmp_path / "v.json"
+    assert run(tmp_path, "verify", "all", "--max-n", "5", "-o", str(out)) == 0
+    text = out.read_text()
+    outcomes = json.loads(text)
+    assert len(outcomes) > 1
+    assert simplicial.dumps_canonical(outcomes) == text
+    assert_no_worker_left()
+
+
+def test_a_fragment_keeps_the_newlines_inside_strings_escaped():
+    obj = {"input": "a\nb", "details": {"faces": [[0, 1], []], "empty": {}}}
+    joined = "[\n  " + ",\n  ".join([cli._fragment(obj)] * 2) + "\n]\n"
+    assert joined == simplicial.dumps_canonical([obj, obj])
+
+
 def test_a_free_worker_takes_the_jobs_a_busy_one_has_not_reached(tmp_path, monkeypatch):
     # job 0 waits until every other job has run; with jobs split up front
     # its worker would still hold some of them, and job 0 would time out

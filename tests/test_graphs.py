@@ -6,7 +6,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxtopo import graphs, simplicial
@@ -213,6 +213,61 @@ def test_corpus_is_one_recursion_in_connected_graphs_order(monkeypatch):
     connected_graph_corpus(6)
     # each smaller class is extended once, not once per larger n
     assert len(calls) == alone == 759
+
+
+def brute_force_canonical_edge_set(G: Graph) -> frozenset:
+    """Oracle: the least sorted edge tuple over every degree-block relabeling."""
+    by_degree: dict[int, list[int]] = {}
+    for v in range(G.n):
+        by_degree.setdefault(len(G.adj[v]), []).append(v)
+    classes = [by_degree[d] for d in sorted(by_degree)]
+    blocks = []
+    offset = 0
+    for c in classes:
+        blocks.append(range(offset, offset + len(c)))
+        offset += len(c)
+    best = None
+    for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        perm: dict[int, int] = {}
+        for cls, img in zip(classes, parts):
+            perm.update(zip(cls, img))
+        relabeled = tuple(
+            sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in G.edges)
+        )
+        if best is None or relabeled < best:
+            best = relabeled
+    return frozenset(best or ())
+
+
+def test_refined_keys_match_the_brute_force_keys_on_every_corpus_candidate(monkeypatch):
+    candidates = []
+    canonical = graphs._canonical_edge_set
+
+    def recorded(G):
+        candidates.append(G)
+        return canonical(G)
+
+    monkeypatch.setattr(graphs, "_canonical_edge_set", recorded)
+    connected_graphs(6)
+    assert len(candidates) == 759
+    for G in candidates:
+        assert canonical(G) == brute_force_canonical_edge_set(G), sorted(G.edges)
+
+
+@st.composite
+def graphs_on_up_to_eight_vertices(draw):
+    n = draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_on_up_to_eight_vertices())
+@example(Graph(8, []))
+@example(Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]))
+@example(Graph(7, [(0, 1), (2, 3), (4, 5)]))
+def test_refined_keys_match_the_brute_force_keys(G):
+    assert _canonical_edge_set(G) == brute_force_canonical_edge_set(G)
 
 
 def test_graph_json_roundtrip():
