@@ -44,7 +44,6 @@ from .homology import (
     ChainComplex,
     HomologyProfile,
     SnfResult,
-    bareiss_rank,
     boundary_matrices,
     collapse_reduce,
     homological_connectivity,

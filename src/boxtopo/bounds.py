@@ -254,7 +254,8 @@ def verify_even_euler(G: Graph, *, builds: Builds | None = None) -> Verification
     chi = euler_characteristic(K)
     act = Z.action
     orbits_ok = all((g := act.on_face(f)) != f and g in K.faces for f in K.faces)
-    per_dim_even = all(c % 2 == 0 for c in K.f_vector())
+    f_vector = K.f_vector()
+    per_dim_even = all(c % 2 == 0 for c in f_vector)
     passed = chi % 2 == 0 and orbits_ok and per_dim_even
     return VerificationOutcome(
         check="even-euler",
@@ -265,7 +266,7 @@ def verify_even_euler(G: Graph, *, builds: Builds | None = None) -> Verification
             "observed": {
                 "chi": chi,
                 "free orbit pairing": orbits_ok,
-                "per-dimension face counts": list(K.f_vector()),
+                "per-dimension face counts": list(f_vector),
             },
         },
     )

@@ -223,20 +223,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_checks(jobs: list) -> list[list[bd.VerificationOutcome]]:
-    """Each (input, checks) job's outcomes, one Builds scope per input.
-
-    The scope is dropped before the next input: each B(G), N(G) and
-    homology is computed once per input, and memory stays that of one
-    input's complexes.
-    """
-    results = []
-    for x, checks in jobs:
-        builds = bd.Builds()
-        results.append([getattr(bd, check)(x, builds=builds) for check in checks])
-    return results
-
-
 def _fragment(obj) -> str:
     """dumps_canonical(obj) as an element one level into a JSON list.
 
@@ -248,26 +234,35 @@ def _fragment(obj) -> str:
 
 
 def _outcome_records(jobs: list) -> list[list[tuple[str, str, bool, str]]]:
-    """_run_checks, with each outcome as a (check, input, passed, fragment) record."""
-    return [
-        [(o.check, o.input, o.passed, _fragment(o.to_obj())) for o in outcomes]
-        for outcomes in _run_checks(jobs)
-    ]
+    """Each (input, checks) job's outcomes as (check, input, passed, fragment)
+    records, where fragment is the outcome's JSON one level into a list.
+
+    One Builds scope serves each input and is dropped before the next: each
+    B(G), N(G) and homology is computed once per input, and memory stays
+    that of one input's complexes.
+    """
+    results = []
+    for x, checks in jobs:
+        builds = bd.Builds()
+        outcomes = [getattr(bd, check)(x, builds=builds) for check in checks]
+        results.append([
+            (o.check, o.input, o.passed, _fragment(o.to_obj())) for o in outcomes
+        ])
+    return results
 
 
-def _run_checks_forked(jobs: list, workers: int, run=_run_checks) -> list[list]:
-    """run (by default _run_checks) over jobs in forked workers, merged in job order.
+def _run_checks_forked(jobs: list, workers: int) -> list[list]:
+    """_outcome_records over jobs in forked workers, merged in job order.
 
     Each worker takes the next job number from a shared pipe whenever it
     has finished one, so a worker slowed by other load on its CPU, or given
     the larger inputs, does not leave the rest waiting for it.  The inputs
     are inherited, never pickled (graphs and complexes refuse setattr, so
-    they would not unpickle); only (job number, what run gave for the job)
-    pairs, or the exception a worker raised, come back.  cmd_verify runs
-    _outcome_records, so its workers send plain tuples of strings and
-    booleans, and the JSON of each outcome is written in the worker.
-    Every worker is reaped before this returns, and on any error the ones
-    still running are killed.
+    they would not unpickle); only (job number, records) pairs, or the
+    exception a worker raised, come back.  The records are plain tuples of
+    strings and booleans, as the JSON of each outcome is written in the
+    worker.  Every worker is reaped before this returns, and on any error
+    the ones still running are killed.
     """
     import pickle
     import signal
@@ -289,7 +284,7 @@ def _run_checks_forked(jobs: list, workers: int, run=_run_checks) -> list[list]:
                         # atomic pipe transfer), so it goes to one worker only
                         while number := os.read(todo_r, 4):
                             i = int.from_bytes(number, "little")
-                            done.append((i, run([jobs[i]])[0]))
+                            done.append((i, _outcome_records([jobs[i]])[0]))
                         reply = (None, done)
                     except BaseException as exc:  # re-raised in the parent
                         reply = (exc, None)
@@ -339,11 +334,11 @@ def _run_checks_forked(jobs: list, workers: int, run=_run_checks) -> list[list]:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run a suite (or all of them) over the corpus and write its outcomes.
 
-    Each outcome comes back from _outcome_records, in a forked worker or in
-    this process, as a (check, input, passed, fragment) record whose
-    fragment is the outcome's JSON one level into a list.  The records are
-    sorted stably by (check, input) and their fragments joined into the
-    bytes dumps_canonical would give for the list of outcomes.
+    Each job's records come from _outcome_records, run in forked workers
+    when more than one CPU is usable and in this process otherwise.  The
+    records are sorted stably by (check, input) and their fragments
+    joined into the bytes dumps_canonical would give for the list of
+    outcomes.
     """
     if args.suite == "nbhd-search":
         if args.target is None or args.n is None:
@@ -384,7 +379,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     jobs = list(checks_by_input.items())
     workers = min(_usable_cpus(), len(jobs))
     if workers > 1 and hasattr(os, "fork"):
-        per_job = _run_checks_forked(jobs, workers, _outcome_records)
+        per_job = _run_checks_forked(jobs, workers)
     else:
         per_job = _outcome_records(jobs)
     records = [r for job in per_job for r in job]

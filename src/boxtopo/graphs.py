@@ -95,24 +95,6 @@ def greedy_clique_lower_bound(G: Graph) -> int:
     return best
 
 
-def dsatur_upper_bound(G: Graph) -> tuple[int, list[int]]:
-    """DSATUR greedy coloring; returns (color count, coloring)."""
-    colors = [-1] * G.n
-    neighbor_colors: list[set[int]] = [set() for _ in range(G.n)]
-    uncolored = set(range(G.n))
-    while uncolored:
-        v = max(uncolored, key=lambda u: (len(neighbor_colors[u]), len(G.adj[u]), -u))
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        colors[v] = c
-        uncolored.discard(v)
-        for w in G.adj[v]:
-            if colors[w] == -1:
-                neighbor_colors[w].add(c)
-    return (max(colors) + 1 if colors else 0), colors
-
-
 def _k_colorable(G: Graph, k: int) -> bool:
     """Backtracking k-colorability with DSATUR vertex selection."""
     if k >= G.n:
@@ -170,11 +152,16 @@ COLORING_GUARD = 20
 
 
 def chromatic_number(G: Graph, *, force: bool = False) -> int:
-    """Exact chromatic number by branch and bound.
+    """Exact chromatic number: the least k, counting up from a greedy
+    clique's size, for which the backtracking search _k_colorable succeeds.
 
-    A greedy clique gives the lower bound, DSATUR the upper bound, and
-    k-colorability backtracking closes the gap.  Guarded at
-    `COLORING_GUARD` vertices (override with force=True).
+    The search picks vertices as DSATUR does (most colors among the
+    neighbours, then highest degree, then the smallest number) and tries
+    the smallest free color first.  So for any k at least DSATUR's color
+    count its first descent is DSATUR's coloring and it never backtracks:
+    the loop stops there at the latest, and a separate DSATUR pass would
+    bound nothing.  Guarded at `COLORING_GUARD` vertices (override with
+    force=True).
     """
     if G.n < 1:
         raise ValueError("chromatic number needs at least one vertex")
@@ -183,12 +170,10 @@ def chromatic_number(G: Graph, *, force: bool = False) -> int:
             f"graph on {G.n} vertices exceeds the exact-coloring guard "
             f"({COLORING_GUARD}); pass force=True (`bounds --force`) to override"
         )
-    lo = greedy_clique_lower_bound(G)
-    hi, _ = dsatur_upper_bound(G)
-    for k in range(lo, hi):
-        if _k_colorable(G, k):
-            return k
-    return hi
+    k = greedy_clique_lower_bound(G)
+    while not _k_colorable(G, k):
+        k += 1
+    return k
 
 
 # ---------------------------------------------------------------------------

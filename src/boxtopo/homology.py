@@ -7,11 +7,11 @@ keeping the reduced homology: elementary collapses on the faces (they
 keep the homotopy type), the boundary maps of what is left, and
 coreduction on those maps (one vertex, then every cell with one live
 face together with that face).  Both reductions number each cell once
-and work on lists indexed by those numbers (neighbours, live counts,
-sums of live neighbours' numbers), so a pair's partner is read off a
-sum: no face is hashed and nothing sorted.  Only the cells left are
-eliminated: unit pivots sparsely, and only the block left without a
-unit entry goes to the dense Smith normal form.
+and delete pairs with one kernel, _pair_off, which reads a cell's
+partner off the sum of its live neighbours' numbers: no face is hashed
+and nothing sorted.  Only the cells left are eliminated: unit pivots
+sparsely, and only the block left without a unit entry goes to the
+dense Smith normal form.
 
 The reduced convention is used throughout: a point has trivial homology
 in every degree, m components give betti_0 = m - 1, and the empty
@@ -208,39 +208,6 @@ def _smallest_entry(A: Matrix, t: int) -> tuple[int, int] | None:
     return pivot
 
 
-def bareiss_rank(M: Matrix) -> int:
-    """Rank over the rationals by fraction-free Gaussian elimination.
-
-    Independent of the Smith normal form path; used to cross-check
-    Betti numbers.
-    """
-    A = [list(row) for row in M]
-    m = len(A)
-    n = len(A[0]) if A else 0
-    prev = 1
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if A[r][col]), None)
-        if piv is None:
-            continue
-        if piv != row:
-            A[row], A[piv] = A[piv], A[row]
-        p = A[row][col]
-        for r in range(row + 1, m):
-            Ar = A[r]
-            factor = Ar[col]
-            for c in range(col + 1, n):
-                Ar[c] = (Ar[c] * p - factor * A[row][c]) // prev
-            Ar[col] = 0
-        prev = p
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
-
-
 def sparse_smith_normal_form(columns: Sequence[Mapping[int, int]]) -> SnfResult:
     """Smith normal form of a sparse integer matrix given by its columns.
 
@@ -360,20 +327,47 @@ def profile_to_obj(p: HomologyProfile) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Elementary collapses
+# Elementary collapses and coreduction
 # ---------------------------------------------------------------------------
+
+def _pair_off(
+    count: list[int], total: list[int], others: list[list[int]], queue: deque[int]
+) -> None:
+    """Delete cells in pairs, first in, first out, until the queue is empty.
+
+    Cells are numbers.  count[c] is how many live neighbours c has (-1
+    once c is deleted) and total[c] the sum of their numbers, so a cell
+    with count 1 is paired with the cell total[c]: no search, sort or
+    lookup.  others[c] lists the cells that have c among their
+    neighbours; deleting g lowers the count of each live one by 1 and its
+    total by g, and a cell whose count drops to 1 is queued.  A popped
+    cell whose count is no longer 1 is skipped.
+    """
+    while queue:
+        i = queue.popleft()
+        if count[i] != 1:
+            continue
+        t = total[i]  # the one live neighbour
+        count[i] = count[t] = -1
+        for g in (i, t):
+            for s in others[g]:
+                c = count[s]
+                if c > 0:  # a live cell in others[g] has g among its neighbours
+                    count[s] = c - 1
+                    total[s] -= g
+                    if c == 2:
+                        queue.append(s)
+
 
 def collapse_reduce(K: SimplicialComplex) -> SimplicialComplex:
     """Remove free pairs until none remain; preserves the homotopy type.
 
     A face is free when it has exactly one codimension-one coface (that
     coface is then automatically its only coface, and maximal).  Faces are
-    numbered once, in the iteration order of a set of them.  Per number the
-    kernel keeps the face's boundary as a list of numbers, the count of its
-    live codimension-one cofaces (-1 once removed) and the sum of their
-    numbers, so a free face's coface is that sum: no search, sort or
-    lookup.  Free faces are taken first in, first out, seeded in number
-    order, and the survivors keep that order.
+    numbered once, in the iteration order of a set of them, and _pair_off
+    runs on coface counts with each face's boundary as its neighbours,
+    seeded with the free faces in number order.  The survivors keep that
+    order.
     """
     faces = list(set(K.faces))
     number = dict(zip(faces, range(len(faces)))).__getitem__
@@ -389,29 +383,10 @@ def collapse_reduce(K: SimplicialComplex) -> SimplicialComplex:
             for s in b:
                 count[s] += 1
                 cosum[s] += i
-
-    queue = deque(i for i, c in enumerate(count) if c == 1)
-    while queue:
-        i = queue.popleft()
-        if count[i] != 1:
-            continue
-        t = cosum[i]  # the one live coface
-        count[i] = count[t] = -1
-        for g in (i, t):
-            for s in boundary[g]:
-                c = count[s]
-                if c > 0:  # a live face of g has g among its cofaces
-                    count[s] = c - 1
-                    cosum[s] -= g
-                    if c == 2:
-                        queue.append(s)
+    _pair_off(count, cosum, boundary, deque(i for i, c in enumerate(count) if c == 1))
     # a free pair leaves the rest downward closed, so the survivors skip validation
     return SimplicialComplex._closed(f for f, c in zip(faces, count) if c >= 0)
 
-
-# ---------------------------------------------------------------------------
-# Coreduction
-# ---------------------------------------------------------------------------
 
 def _coreduce(cc: ChainComplex) -> tuple[list[int], list[list[Column]]]:
     """Cell counts and boundary columns of the cells coreduction leaves.
@@ -419,18 +394,17 @@ def _coreduce(cc: ChainComplex) -> tuple[list[int], list[list[Column]]]:
     Cells are numbered once, dimension by dimension in basis order.  The
     first vertex is deleted with the empty face of the augmented complex,
     so what is left is the relative complex, with the reduced homology of
-    K and no augmentation.  Then coreduction pairs are deleted while one
-    exists (Mrozek–Batko): a cell a with one live boundary face b, and b.
-    The entry of b in the boundary of a is +-1, so the deletion is an
-    elementary reduction of the chain complex; b has no live face left
+    K and no augmentation; each edge on that vertex is left with one face.
+    Then _pair_off runs on face counts with each cell's cofaces as its
+    neighbours (Mrozek–Batko): it deletes a cell a with one live face b,
+    and b.  The entry of b in the boundary of a is +-1, so the deletion is
+    an elementary reduction of the chain complex; b has no live face left
     (the boundary of the boundary of a is zero), so the boundaries of the
-    cells left are those of K restricted to them.  As in collapse_reduce,
-    each cell keeps the count (-1 once deleted) and the sum of the
-    numbers of its live faces, so b is read off a sum.
+    cells left are those of K restricted to them.
 
     Deleting a coreduction pair changes no cell's coface count, so after
-    collapse_reduce, which left no face with one coface, no reduction
-    pair (a face with one coface) can appear here.
+    collapse_reduce, which left no face with one coface, no free face can
+    appear here.
     """
     off = [0]
     for basis in cc.bases:
@@ -446,24 +420,10 @@ def _coreduce(cc: ChainComplex) -> tuple[list[int], list[list[Column]]]:
             down_sum.append(sum(b))
             for s in b:
                 cofaces[s].append(c)
-
-    queue: deque[int] = deque()
-    gone = [0]  # the first vertex, paired with the empty face
-    while gone:
-        for g in gone:
-            down[g] = -1
-            for t in cofaces[g]:
-                c = down[t]
-                if c > 0:  # a live coface of g has g among its faces
-                    down[t] = c - 1
-                    down_sum[t] -= g
-                    if c == 2:
-                        queue.append(t)
-        gone = []
-        while queue and not gone:
-            a = queue.popleft()
-            if down[a] == 1:
-                gone = [a, down_sum[a]]
+    down[0] = -1  # the first vertex, paired with the empty face
+    for t in cofaces[0]:
+        down[t] = 1  # down_sum[t] is its other vertex, as vertex 0 adds 0
+    _pair_off(down, down_sum, cofaces, deque(cofaces[0]))
 
     counts = [sum(1 for c in down[off[k]:off[k + 1]] if c >= 0) for k in range(len(cc.bases))]
     columns = []

@@ -36,12 +36,13 @@ from boxtopo.graphs import (
     kneser_graph,
 )
 from boxtopo.homology import (
-    bareiss_rank,
     boundary_matrices,
     reduced_homology,
     smith_normal_form,
 )
 from boxtopo.simplicial import euler_characteristic, from_facets
+
+from oracles import bareiss_rank
 
 
 def report(num: int, name: str, passed: bool, elapsed: float | None = None):

@@ -341,14 +341,15 @@ def test_a_free_worker_takes_the_jobs_a_busy_one_has_not_reached(tmp_path, monke
                 time.sleep(0.01)
         else:
             (tmp_path / str(x)).touch()
-        return x, os.getpid(), len(list(tmp_path.iterdir()))
+        details = {"pid": os.getpid(), "seen": len(list(tmp_path.iterdir()))}
+        return bd.VerificationOutcome("ordered", str(x), True, details)
 
     monkeypatch.setattr(bd, "ordered_check", check, raising=False)
     results = cli._run_checks_forked([(x, ["ordered_check"]) for x in range(n)], 2)
-    assert [r[0][0] for r in results] == list(range(n))
-    (_, first_pid, seen), *rest = (r[0] for r in results)
-    assert seen == n - 1
-    assert first_pid not in {pid for _, pid, _ in rest}
+    assert [r[0][1] for r in results] == [str(x) for x in range(n)]
+    first, *rest = (json.loads(r[0][3])["details"] for r in results)
+    assert first["seen"] == n - 1
+    assert first["pid"] not in {d["pid"] for d in rest}
     assert_no_worker_left()
 
 

@@ -33,7 +33,6 @@ from boxtopo.graphs import (
 )
 from boxtopo.homology import (
     HomologyProfile,
-    bareiss_rank,
     boundary_matrices,
     collapse_reduce,
     homological_connectivity,
@@ -51,6 +50,8 @@ from boxtopo.simplicial import (
     nerve,
     star,
 )
+
+from oracles import bareiss_rank
 
 RP2 = from_facets(
     [
@@ -183,9 +184,7 @@ def test_collapse_leaves_circle_alone():
     assert collapse_reduce(TRIANGLE_BOUNDARY) == TRIANGLE_BOUNDARY
 
 
-def test_collapse_preserves_homology_on_corpus():
-    # collapse, then coreduction, against the unreduced reference; in RP2
-    # coreduction must leave the Z/2 to the Smith normal form
+def corpus_complexes() -> list[SimplicialComplex]:
     complexes = [
         RP2,
         TETRA_BOUNDARY,
@@ -198,7 +197,13 @@ def test_collapse_preserves_homology_on_corpus():
         complexes.append(box0_complex(G).complex)
         complexes.append(box_complex(add_cone_vertex(G)).complex)
         complexes.append(cones_over_shores_complex(G).complex)
-    for K in complexes:
+    return complexes
+
+
+def test_collapse_preserves_homology_on_corpus():
+    # collapse, then coreduction, against the unreduced reference; in RP2
+    # coreduction must leave the Z/2 to the Smith normal form
+    for K in corpus_complexes():
         assert reduced_homology(K, collapse=True) == reduced_homology(K, collapse=False)
 
 
@@ -410,6 +415,81 @@ def test_collapse_matches_the_vertex_scan_reference():
 def test_collapse_matches_the_vertex_scan_reference_on_random_complexes(facets):
     K = from_facets(facets)
     assert collapse_reduce(K).faces == vertex_scan_collapse(K).faces
+
+
+def reference_coreduce(cc):
+    """Reference: homology._coreduce as it was before it shared its pairing
+    loop with collapse_reduce, pairing vertex 0 with the empty face in
+    that same loop."""
+    off = [0]
+    for basis in cc.bases:
+        off.append(off[-1] + len(basis))
+    cofaces: list[list[int]] = [[] for _ in range(off[-1])]
+    down = [0] * off[1]
+    down_sum = [0] * off[1]
+    for k, D in enumerate(cc.columns, 1):
+        lo = off[k - 1]
+        for c, col in enumerate(D, off[k]):
+            b = [lo + i for i in col]
+            down.append(len(b))
+            down_sum.append(sum(b))
+            for s in b:
+                cofaces[s].append(c)
+
+    queue: deque[int] = deque()
+    gone = [0]  # the first vertex, paired with the empty face
+    while gone:
+        for g in gone:
+            down[g] = -1
+            for t in cofaces[g]:
+                c = down[t]
+                if c > 0:
+                    down[t] = c - 1
+                    down_sum[t] -= g
+                    if c == 2:
+                        queue.append(t)
+        gone = []
+        while queue and not gone:
+            a = queue.popleft()
+            if down[a] == 1:
+                gone = [a, down_sum[a]]
+
+    counts = [sum(1 for c in down[off[k]:off[k + 1]] if c >= 0) for k in range(len(cc.bases))]
+    columns = []
+    for k, D in enumerate(cc.columns, 1):
+        lo = off[k - 1]
+        columns.append([
+            {i: a for i, a in col.items() if down[lo + i] >= 0}
+            for col, c in zip(D, down[off[k]:off[k + 1]])
+            if c >= 0
+        ])
+    return counts, columns
+
+
+def assert_coreduction_matches_the_reference(K: SimplicialComplex) -> None:
+    # with and without a prior collapse; columns compare key order too
+    if K.is_empty():
+        return  # reduced_homology does not coreduce it
+    for L in (K, collapse_reduce(K)):
+        cc = boundary_matrices(L)
+        counts, columns = homology._coreduce(cc)
+        ref_counts, ref_columns = reference_coreduce(cc)
+        assert counts == ref_counts
+        assert [[list(c.items()) for c in D] for D in columns] == [
+            [list(c.items()) for c in D] for D in ref_columns
+        ]
+
+
+def test_coreduction_matches_the_reference_on_corpus():
+    # the corpus holds RP2; Hom(K2, K5) is closed, so collapse leaves it whole
+    for K in corpus_complexes() + [hom_k2_order_complex(complete_graph(5)).complex]:
+        assert_coreduction_matches_the_reference(K)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=5), min_size=1, max_size=14))
+def test_coreduction_matches_the_reference_on_random_complexes(facets):
+    assert_coreduction_matches_the_reference(from_facets(facets))
 
 
 def test_lovasz_reports_match_those_from_the_reference_collapse(monkeypatch):
