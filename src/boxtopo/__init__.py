@@ -33,6 +33,7 @@ from .graphs import (
     kneser_graph,
 )
 from .builders import (
+    Builds,
     box_complex,
     box0_complex,
     cones_over_shores_complex,
@@ -53,7 +54,6 @@ from .homology import (
 )
 from .bounds import (
     BoundReport,
-    Builds,
     VerificationOutcome,
     lovasz_bound,
     neighborhood_realizability_search,

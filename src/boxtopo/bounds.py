@@ -16,11 +16,6 @@ equivalences independently.
 The verify_* checks test falsifiable homological consequences of
 homotopy equivalences: equal Betti/torsion tables and matching Euler
 characteristics.  A pass means "consistent with", not "proves".
-
-Each verify_* check, and builders.shore_subcomplex, takes a keyword-only
-``builds``: a Builds scope that memoizes B(G), N(G) and H~(B(G)) per
-labeled graph.  Checks that share a scope build each of these once;
-without one, a check makes a fresh scope of its own.
 """
 
 from __future__ import annotations
@@ -28,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .builders import (
-    _box_facets,
+    Builds,
     box_complex,
-    box0_complex,
-    hom_k2_order_complex,
     neighborhood_complex,
     shore_subcomplex,
 )
@@ -56,11 +49,9 @@ from .simplicial import (
     SimplicialComplex,
     Z2Complex,
     euler_characteristic,
-    from_facets,
     isomorphic,
     nerve,
     star,
-    strong_core,
     subdivide_involution,
 )
 
@@ -108,42 +99,6 @@ class VerificationOutcome:
             "passed": self.passed,
             "details": self.details,
         }
-
-
-class Builds:
-    """B(G), N(G) and H~(B(G)), each computed once per scope.
-
-    Keyed on the labeled graph (n, edges): shore faces depend on the
-    labels, so isomorphic graphs do not share entries.  The builders and
-    reduced_homology are looked up by their module-level names at call
-    time, so wrappers patched onto this module see every real build.
-
-    H~(B(G)) is computed on the strong core of B(G)'s facets, closed by
-    from_facets: deleting dominated vertices keeps the homotopy type
-    and leaves far fewer faces, so box_homology builds no B(G).  The
-    facets come from the scope's N(G).  box() still builds and validates
-    the full B(G) for the checks that read its faces.
-    """
-
-    def __init__(self) -> None:
-        self._memo: dict = {}
-
-    def _get(self, kind: str, G: Graph, make):
-        key = (kind, G.n, G.edges)
-        if key not in self._memo:
-            self._memo[key] = make()
-        return self._memo[key]
-
-    def box(self, G: Graph) -> Z2Complex:
-        return self._get("box", G, lambda: box_complex(G))
-
-    def neighborhood(self, G: Graph) -> SimplicialComplex:
-        return self._get("nbhd", G, lambda: neighborhood_complex(G))
-
-    def box_homology(self, G: Graph) -> HomologyProfile:
-        return self._get("box homology", G, lambda: reduced_homology(
-            from_facets(strong_core(_box_facets(G, self.neighborhood(G))))
-        ))
 
 
 def _check_nonnull(G: Graph) -> None:
@@ -210,7 +165,7 @@ def verify_suspension_relation(G: Graph, *, builds: Builds | None = None) -> Ver
     the box complex's, and the Euler characteristics must mirror (2 - chi)."""
     builds = builds or Builds()
     B = builds.box(G)
-    B0 = box0_complex(G)
+    B0 = builds.box0(G)
     prof_b = builds.box_homology(G)
     prof_b0 = reduced_homology(B0.complex)
     expected = suspension_shift(prof_b, of_empty=B.complex.is_empty())
@@ -352,8 +307,9 @@ def verify_cone_graph(G: Graph, *, builds: Builds | None = None) -> Verification
 
 def verify_hom_equivalence(G: Graph, *, builds: Builds | None = None) -> VerificationOutcome:
     """The Hom(K2, -) order complex and the box complex have equal homology."""
-    prof_hom = reduced_homology(hom_k2_order_complex(G).complex)
-    prof_b = (builds or Builds()).box_homology(G)
+    builds = builds or Builds()
+    prof_hom = reduced_homology(builds.hom(G).complex)
+    prof_b = builds.box_homology(G)
     return VerificationOutcome(
         check="hom-equivalence",
         input=G.descriptor(),

@@ -4,6 +4,13 @@ Box-type complexes live on two shores: graph vertex v becomes label 2v
 on shore 0 and 2v+1 on shore 1, so the shore swap is label XOR 1.  The
 cone apexes, when present, are the two smallest labels unused by the
 shores (2n and 2n+1), so XOR 1 swaps them too.
+
+Every complex is composed in one place, a Builds scope, from N(G) and
+the maximal box pairs read off it: B(G) closes those facets, B0(G) adds
+the two full shore simplices, and Hom(K2, G) takes its pairs from the
+faces of N(G).  Each public builder makes a fresh scope.  Each verify_*
+check, and shore_subcomplex, takes one as a keyword-only ``builds`` or
+makes its own; checks that share a scope build each complex once.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .graphs import Graph, common_neighbors
+from .homology import HomologyProfile, reduced_homology
 from .simplicial import (
     Face,
     Involution,
@@ -19,6 +27,7 @@ from .simplicial import (
     check_face_budget,
     from_facets,
     order_complex,
+    strong_core,
 )
 
 
@@ -73,6 +82,56 @@ def _shore_swapped(facets: list[Face]) -> Z2Complex:
     return Z2Complex(K, Involution({v: v ^ 1 for v in K.vertices}))
 
 
+class Builds:
+    """N(G), its box facets and what is composed of them, once per scope.
+
+    Keyed on the labeled graph (n, edges): shore faces depend on the
+    labels, so isomorphic graphs do not share entries.  The builders,
+    from_facets and reduced_homology are looked up by their module-level
+    names at call time, so wrappers patched onto this module see every
+    real build.  box_homology reads H~(B(G)) off the strong core of the
+    facets, which has B(G)'s homotopy type and far fewer faces.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict = {}
+
+    def _get(self, kind: str, G: Graph, make):
+        key = (kind, G.n, G.edges)
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def neighborhood(self, G: Graph) -> SimplicialComplex:
+        return self._get("nbhd", G, lambda: neighborhood_complex(G))
+
+    def box_facets(self, G: Graph) -> list[Face]:
+        return self._get("facets", G, lambda: _box_facets(G, self.neighborhood(G)))
+
+    def box(self, G: Graph) -> Z2Complex:
+        return self._get("box", G, lambda: _shore_swapped(self.box_facets(G)))
+
+    def box0(self, G: Graph) -> Z2Complex:
+        shores = [_encode_pair(range(G.n), ()), _encode_pair((), range(G.n))]
+        return self._get("box0", G, lambda: _shore_swapped(self.box_facets(G) + shores))
+
+    def box_homology(self, G: Graph) -> HomologyProfile:
+        return self._get("box homology", G, lambda: reduced_homology(
+            from_facets(strong_core(self.box_facets(G)))
+        ))
+
+    def hom(self, G: Graph) -> Z2Complex:
+        def make() -> Z2Complex:
+            elements = _hom_pairs(G, self.neighborhood(G))
+            index = {p: i for i, p in enumerate(elements)}
+            # componentwise inclusion of pairs is inclusion of their shore encodings
+            K = order_complex(_encode_pair(A, B) for A, B in elements)
+            mapping = {index[(a, b)]: index[(b, a)] for a, b in elements}
+            return Z2Complex(K, Involution(mapping))
+
+        return self._get("hom", G, make)
+
+
 def box_complex(G: Graph) -> Z2Complex:
     """Faces A unioned-across-shores B with G[A,B] complete bipartite and
     both common-neighbor sets nonempty (CN of the empty side is V(G)).
@@ -80,7 +139,7 @@ def box_complex(G: Graph) -> Z2Complex:
     Empty when G has no edge.  The shore swap is a free involution; the
     validator runs on construction.
     """
-    return _shore_swapped(_box_facets(G, neighborhood_complex(G)))
+    return Builds().box(G)
 
 
 def box0_complex(G: Graph) -> Z2Complex:
@@ -90,10 +149,7 @@ def box0_complex(G: Graph) -> Z2Complex:
     cross pair with both sides nonempty already satisfies the CN
     conditions, and one-sided faces are vacuously complete bipartite.
     """
-    facets = _box_facets(G, neighborhood_complex(G))
-    facets.append(_encode_pair(range(G.n), ()))
-    facets.append(_encode_pair((), range(G.n)))
-    return _shore_swapped(facets)
+    return Builds().box0(G)
 
 
 def cones_over_shores_complex(G: Graph) -> Z2Complex:
@@ -103,18 +159,16 @@ def cones_over_shores_complex(G: Graph) -> Z2Complex:
     apex y the shore-1 faces; the shore swap exchanges the apexes.
     """
     x, y = 2 * G.n, 2 * G.n + 1
-    N = neighborhood_complex(G)
-    facets = _box_facets(G, N) + [(x,), (y,)]
-    for S in N.facets():
+    builds = Builds()
+    facets = builds.box_facets(G) + [(x,), (y,)]
+    for S in builds.neighborhood(G).facets():
         facets.append(_encode_pair(S, ()) + (x,))
         facets.append(_encode_pair((), S) + (y,))
     return _shore_swapped(facets)
 
 
-def hom_pairs(G: Graph) -> list[tuple[Face, Face]]:
-    """The poset elements (A, B): disjoint nonempty sets spanning a
-    complete bipartite subgraph, in canonical order."""
-    N = neighborhood_complex(G)
+def _hom_pairs(G: Graph, N: SimplicialComplex) -> list[tuple[Face, Face]]:
+    """hom_pairs from G and its neighborhood complex N."""
     pairs: set[tuple[Face, Face]] = set()
     faces = 0
     for A in N.faces:
@@ -129,18 +183,19 @@ def hom_pairs(G: Graph) -> list[tuple[Face, Face]]:
     return sorted(pairs)
 
 
+def hom_pairs(G: Graph) -> list[tuple[Face, Face]]:
+    """The poset elements (A, B): disjoint nonempty sets spanning a
+    complete bipartite subgraph, in canonical order."""
+    return _hom_pairs(G, Builds().neighborhood(G))
+
+
 def hom_k2_order_complex(G: Graph) -> Z2Complex:
     """Order complex of the complete-bipartite-pair poset.
 
     Elements are ordered by componentwise inclusion; faces are chains.
     The involution swaps the two sides of every pair.
     """
-    elements = hom_pairs(G)
-    index = {p: i for i, p in enumerate(elements)}
-    # componentwise inclusion of pairs is inclusion of their shore encodings
-    K = order_complex(_encode_pair(A, B) for A, B in elements)
-    mapping = {index[(a, b)]: index[(b, a)] for a, b in elements}
-    return Z2Complex(K, Involution(mapping))
+    return Builds().hom(G)
 
 
 def shore_subcomplex(Z: Z2Complex, shore: int, *, builds=None) -> SimplicialComplex:
@@ -150,8 +205,8 @@ def shore_subcomplex(Z: Z2Complex, shore: int, *, builds=None) -> SimplicialComp
     complex recover the graph, and the input must be exactly the box
     complex of that graph.  Cone apexes, missing CN conditions, and
     other forgeries all fail the rebuild.  The result equals the
-    neighborhood complex of the recovered graph.  The rebuild goes
-    through ``builds`` (a ``bounds.Builds`` scope) when one is given.
+    neighborhood complex of the recovered graph.  The rebuild is the
+    box() of ``builds``, or of a fresh scope when none is given.
     """
     if shore not in (0, 1):
         raise ValueError("shore must be 0 or 1")
@@ -170,7 +225,7 @@ def shore_subcomplex(Z: Z2Complex, shore: int, *, builds=None) -> SimplicialComp
         if u % 2 != v % 2
     ]
     G = Graph(n, cross)
-    if (box_complex(G) if builds is None else builds.box(G)) != Z:
+    if (builds or Builds()).box(G) != Z:
         raise ValueError("not the box complex of any graph")
     kept = [f for f in Z.complex.faces if all(v % 2 == shore for v in f)]
     return SimplicialComplex([tuple(v // 2 for v in f) for f in kept])

@@ -237,13 +237,13 @@ def _outcome_records(jobs: list) -> list[list[tuple[str, str, bool, str]]]:
     """Each (input, checks) job's outcomes as (check, input, passed, fragment)
     records, where fragment is the outcome's JSON one level into a list.
 
-    One Builds scope serves each input and is dropped before the next: each
-    B(G), N(G) and homology is computed once per input, and memory stays
-    that of one input's complexes.
+    One Builds scope serves each input and is dropped before the next: its
+    N(G), box facets, B(G), B0(G), Hom and H~(B(G)) are each built once,
+    and memory stays that of one input's complexes.
     """
     results = []
     for x, checks in jobs:
-        builds = bd.Builds()
+        builds = builders.Builds()
         outcomes = [getattr(bd, check)(x, builds=builds) for check in checks]
         results.append([
             (o.check, o.input, o.passed, _fragment(o.to_obj())) for o in outcomes

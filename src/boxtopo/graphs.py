@@ -329,42 +329,31 @@ def _canonical_edge_set(G: Graph) -> frozenset[Edge]:
 
 
 def connected_graphs(n: int) -> list[Graph]:
-    """All connected graphs on exactly n vertices, one per isomorphism class.
-
-    Each class on n - 1 vertices gains vertex n - 1, joined to every
-    nonempty subset of the others; deleting a leaf of a spanning tree
-    leaves a connected graph, so every class on n vertices arises this way.
-    """
+    """All connected graphs on exactly n vertices, one per isomorphism class."""
     if n <= 1:
         return [Graph(n, [])]
-    return _extend_by_one_vertex(connected_graphs(n - 1), n)
-
-
-def _extend_by_one_vertex(smaller: list[Graph], n: int) -> list[Graph]:
-    seen: set[frozenset[Edge]] = set()
-    out = []
-    for H in smaller:
-        for mask in range(1, 1 << (n - 1)):
-            join = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
-            key = _canonical_edge_set(Graph(n, [*H.edges, *join]))
-            if key not in seen:
-                seen.add(key)
-                out.append(Graph(n, key))
-    return out
+    return [G for G in connected_graph_corpus(n) if G.n == n]
 
 
 def connected_graph_corpus(max_n: int) -> list[Graph]:
     """Connected graphs on 1..max_n vertices up to isomorphism.
 
-    One recursion: each n's classes, in the order connected_graphs(n) lists
-    them, are extended to the next n.
+    One recursion: each class on n - 1 vertices gains vertex n - 1,
+    joined to every nonempty subset of the others.  Deleting a leaf of a
+    spanning tree leaves a connected graph, so every class on n vertices
+    arises this way; each is kept the first time its canonical form is
+    seen.
     """
-    out: list[Graph] = []
-    level = connected_graphs(1)
-    for n in range(1, max_n + 1):
-        if n > 1:
-            level = _extend_by_one_vertex(level, n)
-        out.extend(level)
+    out = [Graph(1, [])] if max_n >= 1 else []
+    seen: set[frozenset[Edge]] = set()
+    for n in range(2, max_n + 1):
+        for H in [H for H in out if H.n == n - 1]:
+            for mask in range(1, 1 << (n - 1)):
+                join = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
+                key = _canonical_edge_set(Graph(n, [*H.edges, *join]))
+                if key not in seen:
+                    seen.add(key)
+                    out.append(Graph(n, key))
     return out
 
 

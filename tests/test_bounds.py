@@ -244,25 +244,37 @@ def verify_pairs(max_n: int) -> list:
 def test_verify_builds_each_box_complex_once_per_graph_and_input(tmp_path, monkeypatch):
     pairs = verify_pairs(5)
     # each graph input, the cone graph of each cone input, and the graph
-    # each roundtrip input constructs, is one build in that input's scope
-    budget = (
+    # each roundtrip input constructs, is one build of the box facets in
+    # that input's scope; the graph each nerve input constructs adds one
+    # N(G), and no box facets
+    facets = (
         len({x for _, x in pairs if isinstance(x, Graph)})
         + sum(check == "verify_cone_graph" for check, _ in pairs)
         + sum(check == "verify_construction_roundtrip" for check, _ in pairs)
     )
-    built = []
+    budget = {
+        "_box_facets": facets,
+        "neighborhood_complex": facets + sum(check == "verify_nerve_identity" for check, _ in pairs),
+    }
+    built: dict = {name: [] for name in budget}
 
-    def counting_box_complex(G):
-        built.append(G)
-        return box_complex(G)
+    def counting(name):
+        build = getattr(builders, name)
 
-    monkeypatch.setattr(bounds, "box_complex", counting_box_complex)
-    monkeypatch.setattr(builders, "box_complex", counting_box_complex)
-    # one usable CPU: the checks run in this process, where the wrapper
-    # counts them (forked workers call the same per-input function)
+        def counted(G, *args):
+            built[name].append(G)
+            return build(G, *args)
+
+        return counted
+
+    for name in budget:
+        monkeypatch.setattr(builders, name, counting(name))
+    # one usable CPU: the checks run in this process, where the wrappers
+    # count them (forked workers call the same per-input function)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     assert cli.main(["verify", "all", "--max-n", "5", "-o", str(tmp_path / "v.json")]) == 0
-    assert 0 < len(built) <= budget
+    for name, most in budget.items():
+        assert 0 < len(built[name]) <= most, (name, len(built[name]), most)
 
 
 def test_every_check_gives_the_same_outcome_with_a_shared_scope():
@@ -275,10 +287,11 @@ def test_every_check_gives_the_same_outcome_with_a_shared_scope():
 
 
 def test_box_homology_from_the_strong_core_matches_the_full_box_complex(monkeypatch):
-    built = []
-    monkeypatch.setattr(bounds, "box_complex", built.append)
     graphs = CORPUS + [add_cone_vertex(G) for G in CORPUS]
-    for G in graphs:
-        assert Builds().box_homology(G) == reduced_homology(box_complex(G).complex, collapse=False)
+    expected = [reduced_homology(box_complex(G).complex, collapse=False) for G in graphs]
+    built = []
+    # B(G), B0(G) and the cones-over-shores complex all close their facets here
+    monkeypatch.setattr(builders, "_shore_swapped", built.append)
+    assert [Builds().box_homology(G) for G in graphs] == expected
     # the homology is read off the strong core alone: no B(G) is built for it
     assert built == []
