@@ -7,10 +7,10 @@ notions coincide) or a simple-connectivity proof (which upgrades
 homology vanishing through the checked range).
 
 Each bound is computed on a smaller complex proven equivalent to the
-one it names: Lovász's conn(B(G)) on the neighborhood complex
-N(G) ~ B(G), Sarkaria's conn(B0(G)) on B(G) through B0(G) ~ susp B(G).
-B0(G) and its two full shore simplices are never built for a bound;
-verify_shore_retract and verify_suspension_relation check those
+one it names: Lovász's conn(B(G)) on the neighborhood complex N(G) ~
+B(G), Sarkaria's conn(B0(G)) through B0(G) ~ susp B(G) on the strong
+core of B(G)'s facets (Barmak–Minian).  B0(G) is never built for a
+bound; verify_shore_retract and verify_suspension_relation check those
 equivalences independently.
 
 The verify_* checks test falsifiable homological consequences of
@@ -49,9 +49,11 @@ from .simplicial import (
     SimplicialComplex,
     Z2Complex,
     euler_characteristic,
+    from_facets,
     isomorphic,
     nerve,
     star,
+    strong_core,
     subdivide_involution,
 )
 
@@ -132,24 +134,32 @@ def lovasz_bound(G: Graph) -> BoundReport:
 def sarkaria_bound(G: Graph) -> BoundReport:
     """conn(B0(G)) + 2; a lower bound for the chromatic number.
 
-    Computed on B(G) through B0(G) ~ susp B(G): conn(B0(G)) is
-    conn(B(G)) + 1 (-1 for the empty B(G), whose suspension is S^0) and
-    the evidence is the suspension shift of H~(B(G)).  The caveat is
-    cleared by proof: conn > 0 means B(G) is connected, and the
-    suspension of a connected complex is simply connected (van Kampen).
-    B0(G) of a graph with a vertex is never empty, so it carries no note.
+    Computed through B0(G) ~ susp B(G): conn(B0(G)) is conn(B(G)) + 1
+    (-1 for the empty B(G) of an edgeless G, whose suspension is S^0)
+    and the evidence is the suspension shift of H~(B(G)), read off the
+    closure of the strong core of B(G)'s facets (Barmak–Minian: same
+    homotopy type, far fewer faces).  B(G) is built, so the face budget
+    refuses the graphs whose B(G) passes it; it is that closure when no
+    vertex is dominated (K3..K10, KG(5..7, 2)).  The caveat is cleared
+    by proof: conn > 0 means B(G) is connected, and the suspension of a
+    connected complex is simply connected (van Kampen).  B0(G) of a
+    graph with a vertex is never empty, so it carries no note.
     """
     _check_nonnull(G)
-    B = box_complex(G).complex
-    L = collapse_reduce(B)
-    # the free Z2 action makes B never acyclic (Smith), so conn(L) == conn(B)
+    core = strong_core(facets := Builds().box_facets(G))
+    K = box_complex(G).complex  # built for the face budget
+    if core != sorted(facets):  # a vertex was dominated
+        del K  # never held beside the core's closure
+        K = from_facets(core)
+    L = collapse_reduce(K)
+    # the free Z2 action makes B(G) never acyclic (Smith), so conn(L) == conn(B(G))
     conn = homological_connectivity(L) + 1
     return BoundReport(
         graph=G.descriptor(),
         bound="sarkaria",
         value=conn + 2,
         caveat=False,
-        evidence=suspension_shift(reduced_homology(L), of_empty=B.is_empty()),
+        evidence=suspension_shift(reduced_homology(L), of_empty=not G.edges),
     )
 
 
@@ -352,9 +362,7 @@ def neighborhood_realizability_search(K: SimplicialComplex, n: int) -> Graph | N
     if n > SEARCH_GUARD:
         raise ValueError(f"search over 2^C({n},2) graphs exceeds the guard ({SEARCH_GUARD})")
     for G in all_labeled_graphs(n):
-        N = neighborhood_complex(G)
-        if len(N.vertices) != len(K.vertices) or N.f_vector() != K.f_vector():
-            continue
-        if isomorphic(N, K):
+        # isomorphic compares vertex counts and f-vectors first
+        if isomorphic(neighborhood_complex(G), K):
             return G
     return None

@@ -77,9 +77,9 @@ def _box_facets(G: Graph, N: SimplicialComplex) -> list[Face]:
 
 
 def _shore_swapped(facets: list[Face]) -> Z2Complex:
-    """The closure of shore-encoded facets with the shore swap, label XOR 1."""
+    """The closure of shore-encoded facets with the shore swap (label XOR 1), checked on them."""
     K = from_facets(facets)
-    return Z2Complex(K, Involution({v: v ^ 1 for v in K.vertices}))
+    return Z2Complex._generated(K, Involution({v: v ^ 1 for v in K.vertices}), facets)
 
 
 class Builds:
@@ -136,8 +136,8 @@ def box_complex(G: Graph) -> Z2Complex:
     """Faces A unioned-across-shores B with G[A,B] complete bipartite and
     both common-neighbor sets nonempty (CN of the empty side is V(G)).
 
-    Empty when G has no edge.  The shore swap is a free involution; the
-    validator runs on construction.
+    Empty when G has no edge.  The shore swap is a free involution,
+    checked on construction on the facets the complex is closed from.
     """
     return Builds().box(G)
 

@@ -56,12 +56,6 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(len(a) for a in self.adj))
-
     def descriptor(self) -> str:
         return f"n{self.n}:" + ",".join(f"{u}-{v}" for u, v in sorted(self.edges))
 

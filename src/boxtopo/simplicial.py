@@ -155,9 +155,9 @@ class Z2Complex:
 
     Validation always runs: the action (order two by construction of
     :class:`Involution`) must map the vertices into the complex and
-    faces to faces, and no face may
-    be setwise fixed (a setwise-fixed simplex fixes its barycenter, so
-    this is the exact simplicial freeness condition).
+    faces to faces, and no face may be setwise fixed (a setwise-fixed
+    simplex fixes its barycenter, so this is the exact simplicial
+    freeness condition).  The public constructor checks every face.
     """
 
     __slots__ = ("complex", "action")
@@ -166,6 +166,20 @@ class Z2Complex:
     action: Involution
 
     def __init__(self, complex: SimplicialComplex, action: Involution):
+        # with every face checked, a fixed orbit {v, d(v)} shows as a face equal to its image
+        self._validate(complex, action, complex.faces, tuple.__eq__)
+
+    @classmethod
+    def _generated(cls, complex: SimplicialComplex, action: Involution, generators) -> "Z2Complex":
+        """A Z2Complex on the closure of `generators`, checked on them alone:
+        each face lies in a generator, whose image is a face of the closed
+        complex, and a face fixed setwise holds an orbit {v, d(v)}, as does
+        every generator holding it, so this equals checking every face."""
+        Z = object.__new__(cls)
+        Z._validate(complex, action, generators, lambda g, img: not set(g).isdisjoint(img))
+        return Z
+
+    def _validate(self, complex: SimplicialComplex, action: Involution, faces, meets) -> None:
         d = action.as_dict()
         vertex_set = set(complex.vertices)
         for v in complex.vertices:
@@ -173,12 +187,12 @@ class Z2Complex:
                 raise ValueError(f"action undefined on vertex {v}")
             if d[v] not in vertex_set:
                 raise ValueError(f"action sends {v} outside the complex")
-        for f in complex.faces:
+        for f in faces:
             img = tuple(sorted(map(d.__getitem__, f)))
             if img not in complex.faces:
-                raise ValueError(f"action is not simplicial: image of {f} is not a face")
-            if img == f:
-                raise ValueError(f"action is not free: face {f} is setwise fixed")
+                raise ValueError(f"action is not simplicial: image of {tuple(f)} is not a face")
+            if meets(f, img):
+                raise ValueError(f"action is not free: face {tuple(f)} meets its image {img}")
         object.__setattr__(self, "complex", complex)
         object.__setattr__(self, "action", action)
 
@@ -250,8 +264,7 @@ def strong_core(facets: Iterable[Iterable[int]]) -> list[Face]:
         raise ValueError("a facet must be a nonempty vertex set")
     labels = sorted({v for f in canon for v in f})
     bit = {v: 1 << i for i, v in enumerate(labels)}
-    masks = {sum(map(bit.__getitem__, f)) for f in canon}
-    masks = [m for m in masks if not any(m != g and m & g == m for g in masks)]
+    masks = _maximal({sum(map(bit.__getitem__, f)) for f in canon})
     alive = list(bit.values())
     while True:
         for b in alive:
@@ -263,11 +276,18 @@ def strong_core(facets: Iterable[Iterable[int]]) -> list[Face]:
                 break
         else:
             break
-        kept = [m for m in masks if not m & b]
-        cut = {m ^ b for m in masks if m & b}
-        masks = kept + [m for m in cut if not any(m & g == m for g in kept)]
+        masks = _maximal({m & ~b for m in masks})
         alive.remove(b)
     return sorted(tuple(v for v in labels if m & bit[v]) for m in masks)
+
+
+def _maximal(masks: set[int]) -> list[int]:
+    """The masks no other contains; only masks with more vertices are compared."""
+    kept: list[int] = []
+    for _, group in itertools.groupby(sorted(masks, key=int.bit_count, reverse=True), int.bit_count):
+        larger = tuple(kept)
+        kept.extend(m for m in group if not any(m & g == m for g in larger))
+    return kept
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:

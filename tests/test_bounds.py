@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from boxtopo import bounds, builders, cli
+from boxtopo import bounds, builders, cli, homology
 from boxtopo.bounds import (
     BoundReport,
     Builds,
@@ -44,6 +44,7 @@ from boxtopo.simplicial import (
     dumps_canonical,
     from_facets,
     octahedron_z2,
+    strong_core,
     two_points_z2,
 )
 
@@ -295,3 +296,24 @@ def test_box_homology_from_the_strong_core_matches_the_full_box_complex(monkeypa
     assert [Builds().box_homology(G) for G in graphs] == expected
     # the homology is read off the strong core alone: no B(G) is built for it
     assert built == []
+
+
+def test_sarkaria_collapses_nothing_larger_than_the_strong_core_closure(monkeypatch):
+    sizes: list[int] = []
+
+    def recording(K):
+        sizes.append(len(K))
+        return collapse_reduce(K)
+
+    for module in (bounds, homology):
+        monkeypatch.setattr(module, "collapse_reduce", recording)
+    box_faces = core_faces = 0
+    for G in CORPUS + [kneser_graph(5, 2), complete_graph(6)]:
+        core = len(from_facets(strong_core(Builds().box_facets(G))))
+        sizes.clear()
+        sarkaria_bound(G)
+        assert sizes and max(sizes) <= core, G
+        box_faces += len(box_complex(G).complex)
+        core_faces += core
+    # the core removes faces on the corpus, so the bound is below B(G)'s size
+    assert core_faces < box_faces

@@ -425,6 +425,8 @@ PINNED_DIGESTS = {
     "bounds_k4": "7aa4cf5f9b85993f0d7f6eb1c6defcc01bdcee64a8ff0549208212e798e02f65",
     "bounds_k6": "1c365522958cc413e4c012a6ee10586a8c437eccdd65f2c00b3716de10f888d4",
     "bounds_kg62": "102818554cacd197efea1d79fd2543a5fd900cf8fc389f868cedc867ec8c3030",
+    "bounds_k9": "3bec3989bd3ff38fc7808b35fe31618826aadd60f4744082f43c82e5211a1b5b",
+    "bounds_kg72": "6c5dd6e013fa491582b1e804c67d68f3b47e35cfa5d10ab710c830d11c9ae0fd",
     "nbhd_c5": "2246a9228fd32733bb2be541a264bf499ad54d709089c36c44296b6b017620b4",
     "nbhd_kg": "2a49558588d8c184f3a7488a189002c53b4fb8e9367f98e4070e46337d173113",
     "box0_c5": "f5ca884bdbabe8e708fa1d9fa0e851208b25ee025df0b9f84846c0d1b9702d5b",
@@ -456,8 +458,14 @@ def test_output_bytes_match_pinned_digests(tmp_path):
     paths["hom_homology"] = out("hom_homology", "homology", paths["hom"])
     paths["sd_homology"] = out("sd_homology", "homology", paths["sd"])
     paths["rp2_homology"] = out("rp2_homology", "homology", str(rp2))
-    for name, *gen in (("k4", "complete", "4"), ("k6", "complete", "6"), ("kg62", "kneser", "6", "2")):
+    for name, *gen in (
+        ("k4", "complete", "4"), ("k6", "complete", "6"), ("k9", "complete", "9"),
+        ("kg62", "kneser", "6", "2"),
+    ):
         paths[f"bounds_{name}"] = out(f"bounds_{name}", "bounds", out(name, "gen", *gen), "--exact")
+    # KG(7, 2) has 21 vertices, one past the exact-coloring guard
+    kg72 = out("kg72", "gen", "kneser", "7", "2")
+    paths["bounds_kg72"] = out("bounds_kg72", "bounds", kg72, "--exact", "--force")
     for kind, name in (("n", "nbhd"), ("box0", "box0"), ("bc", "bc")):
         for graph, path in (("c5", g), ("kg", kg)):
             paths[f"{name}_{graph}"] = out(f"{name}_{graph}", "complex", kind, path)

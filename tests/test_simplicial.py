@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -363,6 +364,64 @@ def test_octahedron_z2_is_valid_and_spherical():
     Z = octahedron_z2()
     assert Z.complex.f_vector() == (6, 12, 8)
     assert euler_characteristic(Z.complex) == 2
+
+
+
+REJECTIONS = ("action undefined", "action sends", "action is not simplicial", "action is not free")
+
+
+def rejection(make) -> str | None:
+    """Which of REJECTIONS the constructor raises; None when it accepts."""
+    try:
+        make()
+    except ValueError as err:
+        return next(r for r in REJECTIONS if str(err).startswith(r))
+    return None
+
+
+def random_involution(rng: random.Random, labels: list[int]) -> dict[int, int]:
+    """Swapped pairs, fixed points and unmapped labels, at random."""
+    labels = labels[:]
+    rng.shuffle(labels)
+    mapping: dict[int, int] = {}
+    while labels:
+        v = labels.pop()
+        if labels and rng.random() < 0.8:
+            w = labels.pop()
+            mapping[v], mapping[w] = w, v
+        elif rng.random() < 0.7:
+            mapping[v] = v
+    return mapping
+
+
+def test_generator_validation_agrees_with_face_validation():
+    rng = random.Random(2012)
+    seen = set()
+    for _ in range(4000):
+        n = rng.randint(1, 8)
+        # two labels past the facets' range, so some images leave the complex
+        mapping = random_involution(rng, list(range(n + 2)))
+        facets = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.5 and all(v in mapping for f in facets for v in f):
+            facets += [[mapping[v] for v in f] for f in facets]  # closed under the map
+        K, action = from_facets(facets), Involution(mapping)
+        by_face = rejection(lambda: Z2Complex(K, action))
+        by_generator = rejection(lambda: Z2Complex._generated(K, action, facets))
+        # a complex may break two rules; each way of checking names the first it meets
+        assert (by_face is None) == (by_generator is None), (facets, mapping)
+        seen.update((by_face, by_generator))
+    assert seen == {None, *REJECTIONS}
+
+
+def test_maximal_masks_match_the_pairwise_filter():
+    rng = random.Random(2012)
+    for _ in range(500):
+        base = [rng.getrandbits(10) | 1 for _ in range(rng.randint(0, 12))]
+        # sub-masks of the base ones, so that containment is common
+        masks = set(base) | {m & rng.getrandbits(10) or m for m in base}
+        expected = {m for m in masks if not any(m != g and m & g == m for g in masks)}
+        kept = simplicial._maximal(masks)
+        assert len(kept) == len(expected) and set(kept) == expected
 
 
 @st.composite
