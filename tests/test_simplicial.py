@@ -32,6 +32,7 @@ from boxtopo.graphs import (
 )
 from boxtopo.homology import collapse_reduce, reduced_homology
 from boxtopo.simplicial import (
+    Face,
     Involution,
     SimplicialComplex,
     Z2Complex,
@@ -366,7 +367,6 @@ def test_octahedron_z2_is_valid_and_spherical():
     assert euler_characteristic(Z.complex) == 2
 
 
-
 REJECTIONS = ("action undefined", "action sends", "action is not simplicial", "action is not free")
 
 
@@ -402,8 +402,14 @@ def test_generator_validation_agrees_with_face_validation():
         # two labels past the facets' range, so some images leave the complex
         mapping = random_involution(rng, list(range(n + 2)))
         facets = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(0, 5))]
-        if rng.random() < 0.5 and all(v in mapping for f in facets for v in f):
-            facets += [[mapping[v] for v in f] for f in facets]  # closed under the map
+        vertices = {v for f in facets for v in f}
+        if vertices <= mapping.keys():
+            closure = rng.random()
+            if closure < 0.4:
+                facets += [[mapping[v] for v in f] for f in facets]  # closed under the map
+            elif closure < 0.8:
+                # only the vertices are closed, so the images of faces often are not faces
+                facets += [[mapping[v]] for v in vertices]
         K, action = from_facets(facets), Involution(mapping)
         by_face = rejection(lambda: Z2Complex(K, action))
         by_generator = rejection(lambda: Z2Complex._generated(K, action, facets))
@@ -411,17 +417,6 @@ def test_generator_validation_agrees_with_face_validation():
         assert (by_face is None) == (by_generator is None), (facets, mapping)
         seen.update((by_face, by_generator))
     assert seen == {None, *REJECTIONS}
-
-
-def test_maximal_masks_match_the_pairwise_filter():
-    rng = random.Random(2012)
-    for _ in range(500):
-        base = [rng.getrandbits(10) | 1 for _ in range(rng.randint(0, 12))]
-        # sub-masks of the base ones, so that containment is common
-        masks = set(base) | {m & rng.getrandbits(10) or m for m in base}
-        expected = {m for m in masks if not any(m != g and m & g == m for g in masks)}
-        kept = simplicial._maximal(masks)
-        assert len(kept) == len(expected) and set(kept) == expected
 
 
 @st.composite
@@ -480,6 +475,29 @@ def test_strong_core_deletes_dominated_vertices():
     assert strong_core([]) == []
     with pytest.raises(ValueError):
         strong_core([[0], []])
+
+
+def pairwise_strong_core(facets) -> list[Face]:
+    """Reference: keep the facets no other contains, every pair compared,
+    and delete the smallest dominated vertex, until none is dominated."""
+    core = {frozenset(f) for f in facets}
+    while True:
+        core = {f for f in core if not any(f < g for g in core)}
+        dominated = dominated_vertices(core)
+        if not dominated:
+            return sorted(tuple(sorted(f)) for f in core)
+        core = {f - {dominated[0]} for f in core}
+
+
+def test_strong_core_matches_the_pairwise_reference():
+    rng = random.Random(2012)
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        facets = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(0, 10))]
+        # sub-facets and facets of one size, so that each filter has work to do
+        facets += [f[: rng.randint(1, len(f))] for f in facets if rng.random() < 0.3]
+        facets += [rng.sample(range(n), min(n, 3)) for _ in range(rng.randint(0, 6))]
+        assert strong_core(facets) == pairwise_strong_core(facets), facets
 
 
 @pytest.mark.parametrize(
