@@ -48,7 +48,6 @@ from .homology import (
     boundary_matrices,
     collapse_reduce,
     homological_connectivity,
-    pi1_trivial_heuristic,
     reduced_homology,
     smith_normal_form,
 )

@@ -1,10 +1,21 @@
 """Topological chromatic lower bounds and theorem-verification checks.
 
-The bounds use homological connectivity, a surrogate for homotopy
-connectivity.  Every report carries a caveat flag; it is cleared only
-when the surrogate provably matches: connectivity <= 0 (where the two
-notions coincide) or a simple-connectivity proof (which upgrades
-homology vanishing through the checked range).
+The bounds read homological connectivity, and the Z2 lemma proves that
+enough (Matoušek, Using the Borsuk–Ulam Theorem, 2003; Kozlov,
+Combinatorial Algebraic Topology, 2008): a free Z2-complex X with
+H~_i(X; Z) = 0 for all i <= k has ind(X) >= k + 1.  By universal
+coefficients H~_i(X; Z2) = 0 for i <= k as well.  The standard
+Z2-cell structure of S^(k+1) has cells e_i and v e_i with boundary
+d e_i = (1 + v) e_(i-1); map it into C(X; Z2) equivariantly, keeping
+the augmentation, degree by degree: (1 + v) phi(e_(i-1)) is a cycle,
+so a boundary for i - 1 <= k, and phi(e_i) is chosen to bound it.
+Composed with the cellular chain map of a Z2-map X -> S^k, phi gives
+on the k-skeleton an equivariant chain map S^k -> S^k, which has odd
+degree; yet it sends the cycle d e_(k+1) to the boundary of a
+(k+1)-chain of S^k, and S^k has none.  So no Z2-map X -> S^k exists.
+With X = B(G) and X = B0(G), Matoušek–Ziegler's chi(G) >= ind(B(G)) + 2
+and chi(G) >= ind(B0(G)) + 1 make conn + 3 and conn + 2 lower bounds
+with no condition on the fundamental group: every caveat is False.
 
 Each bound is computed on a smaller complex proven equivalent to the
 one it names: Lovász's conn(B(G)) on the neighborhood complex N(G) ~
@@ -41,7 +52,6 @@ from .homology import (
     S0_PROFILE,
     collapse_reduce,
     homological_connectivity,
-    pi1_trivial_heuristic,
     profile_to_obj,
     reduced_homology,
 )
@@ -65,10 +75,10 @@ class BoundReport:
     graph: str
     bound: str  # "lovasz" | "sarkaria"
     value: int
-    caveat: bool
     evidence: HomologyProfile
     exact_chi: int | None = None
     note: str | None = None
+    caveat = False  # proved away by the Z2 lemma (module docstring); not a field
 
     def to_obj(self) -> dict:
         obj = {
@@ -109,7 +119,8 @@ def _check_nonnull(G: Graph) -> None:
 
 
 def lovasz_bound(G: Graph) -> BoundReport:
-    """conn(B(G)) + 3; a lower bound for the chromatic number.
+    """conn(B(G)) + 3; a lower bound for the chromatic number, proved by
+    the Z2 lemma of the module docstring with X = B(G).
 
     Computed on the neighborhood complex N(G) ~ B(G): its faces are the
     vertex sets with a common neighbor, far fewer than the ~3^n of B(G).
@@ -124,7 +135,6 @@ def lovasz_bound(G: Graph) -> BoundReport:
         graph=G.descriptor(),
         bound="lovasz",
         value=conn + 3,
-        caveat=conn > 0 and not pi1_trivial_heuristic(L),
         evidence=reduced_homology(L),
         # N(G) is empty exactly when B(G) is: when G has no edge
         note="degenerate input: box complex is empty (no edges)" if N.is_empty() else None,
@@ -140,10 +150,9 @@ def sarkaria_bound(G: Graph) -> BoundReport:
     closure of the strong core of B(G)'s facets (Barmak–Minian: same
     homotopy type, far fewer faces).  B(G) is built, so the face budget
     refuses the graphs whose B(G) passes it; it is that closure when no
-    vertex is dominated (K3..K10, KG(5..7, 2)).  The caveat is cleared
-    by proof: conn > 0 means B(G) is connected, and the suspension of a
-    connected complex is simply connected (van Kampen).  B0(G) of a
-    graph with a vertex is never empty, so it carries no note.
+    vertex is dominated (K3..K10, KG(5..7, 2)).  The Z2 lemma of the
+    module docstring with X = B0(G) proves the bound.  B0(G) of a graph
+    with a vertex is never empty, so it carries no note.
     """
     _check_nonnull(G)
     core = strong_core(facets := Builds().box_facets(G))
@@ -158,7 +167,6 @@ def sarkaria_bound(G: Graph) -> BoundReport:
         graph=G.descriptor(),
         bound="sarkaria",
         value=conn + 2,
-        caveat=False,
         evidence=suspension_shift(reduced_homology(L), of_empty=not G.edges),
     )
 

@@ -50,11 +50,10 @@ def _box_facets(G: Graph, N: SimplicialComplex) -> list[Face]:
     Every maximal pair is (CN(CN(S)), CN(S)) for some face S of N, and
     every such pair is maximal.  Vertex sets are bitmasks, so CN is an
     AND of neighbor masks; CN(S) fixes the pair, so each distinct CN(S)
-    is completed and encoded once.  The pairs go into one set of vertex
-    tuples in the order the faces of N first give them: the set's
-    iteration order is the facet order, which fixes the order from_facets
-    closes the facets in, and so the face order collapse_reduce numbers
-    faces by.
+    is completed and encoded once.  The pairs go into one set in the
+    order the faces of N first give them; its iteration order is the
+    facet order, and so the order from_facets closes the facets in, on
+    which no output depends (see collapse_reduce).
     """
     adj = [sum(1 << w for w in G.adj[v]) for v in range(G.n)]
     cn_masks: dict[int, None] = {}  # each CN(S), in first-seen order

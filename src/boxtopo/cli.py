@@ -151,8 +151,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.format == "table":
         lines = [
             f"graph      {G.descriptor()}",
-            f"lovasz     {lov.value}" + ("  (caveat)" if lov.caveat else ""),
-            f"sarkaria   {sar.value}" + ("  (caveat)" if sar.caveat else ""),
+            f"lovasz     {lov.value}",
+            f"sarkaria   {sar.value}",
         ]
         if exact is not None:
             lines.append(f"exact chi  {exact}")

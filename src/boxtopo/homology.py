@@ -366,8 +366,9 @@ def collapse_reduce(K: SimplicialComplex) -> SimplicialComplex:
     coface is then automatically its only coface, and maximal).  Faces are
     numbered once, in the iteration order of a set of them, and _pair_off
     runs on coface counts with each face's boundary as its neighbours,
-    seeded with the free faces in number order.  The survivors keep that
-    order.
+    seeded with the free faces in number order; the survivors keep that
+    order.  It decides which pairs go, but no output depends on it (each
+    collapse keeps the homology); exact reference tests compare the faces.
     """
     faces = list(set(K.faces))
     number = dict(zip(faces, range(len(faces)))).__getitem__
@@ -494,96 +495,3 @@ def homological_connectivity(K: SimplicialComplex) -> int:
         else:
             break
     return k
-
-
-# ---------------------------------------------------------------------------
-# Fundamental-group triviality (sound, incomplete)
-# ---------------------------------------------------------------------------
-
-def pi1_trivial_heuristic(K: SimplicialComplex) -> bool:
-    """True only when the edge-path group provably collapses to nothing.
-
-    Builds the presentation from a spanning tree and the 2-cells, then
-    applies bounded relator simplification (free/cyclic reduction,
-    length-1 and length-2 eliminations).  A True answer is a proof of
-    simple connectivity; False means unknown.
-    """
-    if K.is_empty():
-        raise ValueError("empty complex")
-    verts = list(K.vertices)
-    edges = K.k_faces(1)
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    root = verts[0]
-    parent: dict[int, int] = {root: root}
-    order = deque([root])
-    tree: set[Face] = set()
-    while order:
-        u = order.popleft()
-        for w in sorted(adj[u]):
-            if w not in parent:
-                parent[w] = u
-                tree.add((min(u, w), max(u, w)))
-                order.append(w)
-    if len(parent) != len(verts):
-        raise ValueError("complex is not connected")
-
-    gens = {e: i for i, e in enumerate(sorted(set(edges) - tree))}
-
-    def letter(u: int, v: int) -> list[int]:
-        e = (min(u, v), max(u, v))
-        if e in tree:
-            return []
-        g = gens[e]
-        return [g + 1 if u < v else -(g + 1)]  # signed, 1-based
-
-    relators: list[list[int]] = []
-    for a, b, c in K.k_faces(2):
-        relators.append(letter(a, b) + letter(b, c) + letter(c, a))
-
-    alive = set(range(1, len(gens) + 1))
-
-    def reduce_word(w: list[int]) -> list[int]:
-        out: list[int] = []
-        for x in w:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        while len(out) >= 2 and out[0] == -out[-1]:
-            out = out[1:-1]
-        return out
-
-    for _ in range(10 * (len(gens) + len(relators) + 1)):
-        relators = [reduce_word(w) for w in relators]
-        relators = [w for w in relators if w]
-        rule: tuple[int, list[int]] | None = None
-        for w in relators:
-            if len(w) == 1:
-                rule = (abs(w[0]), [])
-                break
-            if len(w) == 2 and abs(w[0]) != abs(w[1]):
-                x, y = w
-                # x-part solved for the other letter: x = y^-1 when signs align
-                if x > 0:
-                    rule = (x, [-y])
-                else:
-                    rule = (-x, [y])
-                break
-        if rule is None:
-            break
-        g, image = rule
-        alive.discard(g)
-        new_relators = []
-        for w in relators:
-            nw: list[int] = []
-            for x in w:
-                if abs(x) == g:
-                    nw.extend(image if x > 0 else [-i for i in reversed(image)])
-                else:
-                    nw.append(x)
-            new_relators.append(nw)
-        relators = new_relators
-    return not alive

@@ -57,8 +57,8 @@ class SimplicialComplex:
         """A complex on faces the library has already canonicalized and closed.
 
         The set is filled one face at a time, as the public constructor
-        fills it, so its iteration order (which collapse_reduce numbers
-        faces by) is the same as through the public constructor.
+        fills it, so its iteration order is the same as through the public
+        constructor; no output depends on that order (see collapse_reduce).
         """
         K = object.__new__(cls)
         K._store(frozenset(iter(faces)))

@@ -36,7 +36,6 @@ from boxtopo.homology import (
     S0_PROFILE,
     collapse_reduce,
     homological_connectivity,
-    pi1_trivial_heuristic,
     reduced_homology,
 )
 from boxtopo.simplicial import (
@@ -96,15 +95,26 @@ def test_sarkaria_c5():
     assert sarkaria_bound(cycle_graph(5)).value == 3
 
 
+# The Grötzsch graph M4, the Mycielski graph of C5: the cycle 0..4, a
+# shadow 5 + i joined to the neighbours of i, and an apex 10 on the shadows
+GROETZSCH = Graph(11, [
+    (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
+    (1, 5), (4, 5), (0, 6), (2, 6), (1, 7), (3, 7), (2, 8), (4, 8), (0, 9), (3, 9),
+    (5, 10), (6, 10), (7, 10), (8, 10), (9, 10),
+])
+
+
 def test_bounds_sound_on_corpus():
-    for G in CORPUS:
+    # sound by the Z2 lemma (bounds' module docstring), with no caveat
+    for G in CORPUS + [GROETZSCH]:
         chi = chromatic_number(G)
         lov = lovasz_bound(G)
         sar = sarkaria_bound(G)
-        if not lov.caveat:
-            assert lov.value <= chi
-        if not sar.caveat:
-            assert sar.value <= chi
+        assert not lov.caveat and not sar.caveat
+        assert lov.value <= chi
+        assert sar.value <= chi
+        if G is GROETZSCH:  # Lovász is tight on M4
+            assert lov.value == 4 == chi
         # B0(G) ~ susp B(G): the homological surrogates coincide, also
         # for the empty B(G) (-2 + 3 == -1 + 2)
         assert sar.value == lov.value
@@ -120,7 +130,7 @@ def reference_bound(G: Graph, bound: str, build, offset: int) -> BoundReport:
         graph=G.descriptor(),
         bound=bound,
         value=conn + offset,
-        caveat=conn > 0 and not pi1_trivial_heuristic(L),
+        # the caveat is False by the Z2 lemma (bounds' module docstring)
         evidence=reduced_homology(L),
         note="degenerate input: box complex is empty (no edges)" if K.is_empty() else None,
     )
@@ -128,23 +138,22 @@ def reference_bound(G: Graph, bound: str, build, offset: int) -> BoundReport:
 
 def assert_bounds_match_the_reference(graphs) -> int:
     """Byte equality of both reports with the B/B0 reference; returns the
-    number of graphs with conn(B(G)) > 0, on which the reference runs the
-    pi1 heuristic for both bounds."""
-    with_pi1 = 0
+    number of graphs with conn(B(G)) > 0."""
+    positive = 0
     for G in graphs:
         lov = reference_bound(G, "lovasz", box_complex, 3)
         sar = reference_bound(G, "sarkaria", box0_complex, 2)
         for rep, ref in ((lovasz_bound(G), lov), (sarkaria_bound(G), sar)):
             assert dumps_canonical(rep.to_obj()) == dumps_canonical(ref.to_obj()), G
-        with_pi1 += lov.value > 3
-    return with_pi1
+        positive += lov.value > 3
+    return positive
 
 
 def test_bounds_match_the_box_complex_reference():
     graphs = connected_graph_corpus(6) + [Graph(1, []), Graph(3, []), Graph(4, [(0, 1), (2, 3)])]
     graphs += [complete_graph(n) for n in range(1, 9)]
     graphs += [kneser_graph(n, 2) for n in range(4, 7)]
-    # K4..K8 at least have conn > 0, so the pi1 heuristic runs on B(G) and B0(G)
+    # K4..K8 at least have conn > 0
     assert assert_bounds_match_the_reference(graphs) >= 5
 
 

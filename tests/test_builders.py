@@ -126,9 +126,8 @@ def test_box_facets_on_bitmasks_match_the_set_based_builder():
     inputs += [kneser_graph(5, 2), Graph(1, []), Graph(5, [])]
     for G in inputs:
         N = neighborhood_complex(G)
-        # the same facets in the same order: the order is the order
-        # from_facets closes them in, which fixes the face order that
-        # collapse_reduce numbers faces by
+        # the same facets in the same order (the order decides which free
+        # pairs collapse_reduce removes from B(G); no output depends on it)
         assert builders._box_facets(G, N) == set_box_facets(G, N), G.descriptor()
 
 

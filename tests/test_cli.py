@@ -399,8 +399,9 @@ def test_null_graph_bounds_exit_2(tmp_path, capsys):
 # recorded before the bounds, the verify suites and the order-complex builders
 # were each reduced to one code path, and before every complex was collapsed
 # ahead of its homology, and must not move.  "bounds_c5" has connectivity > 0,
-# so its pi1 check runs; the hom and sd files (40 and 200 faces) were small
-# enough that their homology used to be computed without collapsing them.
+# so its pi1 check ran when it was recorded; the hom and sd files (40 and 200
+# faces) were small enough that their homology used to be computed without
+# collapsing them.
 # "rp2_homology" was recorded before the sparse unit-pivot elimination: RP^2
 # has no free face and its torsion Z/2 comes from the leftover dense block.
 # "bounds_k4", "bounds_k6" and "bounds_kg62" (conn > 0 for both bounds, so

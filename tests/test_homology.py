@@ -36,7 +36,6 @@ from boxtopo.homology import (
     boundary_matrices,
     collapse_reduce,
     homological_connectivity,
-    pi1_trivial_heuristic,
     profile_to_obj,
     reduced_homology,
     smith_normal_form,
@@ -516,27 +515,6 @@ def test_reduced_euler_relation():
             prof = reduced_homology(K)
             alt = sum((-1) ** k * prof.betti(k) for k in range(K.dim + 1))
             assert alt == euler_characteristic(K) - 1
-
-
-def test_pi1_tetrahedron_boundary_trivial():
-    assert pi1_trivial_heuristic(TETRA_BOUNDARY) is True
-
-
-def test_pi1_circle_unknown():
-    assert pi1_trivial_heuristic(TRIANGLE_BOUNDARY) is False
-
-
-def test_pi1_point_trivial():
-    assert pi1_trivial_heuristic(from_facets([[0]])) is True
-
-
-def test_pi1_rejects_disconnected():
-    with pytest.raises(ValueError):
-        pi1_trivial_heuristic(from_facets([[0], [1]]))
-
-
-def test_pi1_sphere_after_subdivision():
-    assert pi1_trivial_heuristic(barycentric_subdivision(TETRA_BOUNDARY)) is True
 
 
 def test_profile_shift():
