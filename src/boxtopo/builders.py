@@ -51,9 +51,8 @@ def _box_facets(G: Graph, N: SimplicialComplex) -> list[Face]:
     every such pair is maximal.  Vertex sets are bitmasks, so CN is an
     AND of neighbor masks; CN(S) fixes the pair, so each distinct CN(S)
     is completed and encoded once.  The pairs go into one set in the
-    order the faces of N first give them; its iteration order is the
-    facet order, and so the order from_facets closes the facets in, on
-    which no output depends (see collapse_reduce).
+    order the faces of N first give them, the facet order; no homology
+    depends on it, as boundary_matrices numbers the cells in sorted order.
     """
     adj = [sum(1 << w for w in G.adj[v]) for v in range(G.n)]
     cn_masks: dict[int, None] = {}  # each CN(S), in first-seen order

@@ -1,17 +1,17 @@
 """Integer simplicial homology via Smith normal form.
 
-All linear algebra is exact: boundary maps are stored as sparse columns
-of Python ints, so elimination entry growth is handled by arbitrary
-precision arithmetic.  reduced_homology reduces in three steps, each
-keeping the reduced homology: elementary collapses on the faces (they
-keep the homotopy type), the boundary maps of what is left, and
-coreduction on those maps (one vertex, then every cell with one live
-face together with that face).  Both reductions number each cell once
-and delete pairs with one kernel, _pair_off, which reads a cell's
-partner off the sum of its live neighbours' numbers: no face is hashed
-and nothing sorted.  Only the cells left are eliminated: unit pivots
-sparsely, and only the block left without a unit entry goes to the
-dense Smith normal form.
+All linear algebra is exact, in Python ints, so elimination entry growth
+is handled by arbitrary precision arithmetic.  boundary_matrices numbers
+a complex's cells once and lists each cell's faces by number, and
+reduced_homology reads only those numbers, in three steps that each keep
+the reduced homology: elementary collapses (they keep the homotopy
+type), coreduction on what is left (one vertex, then every cell with one
+live face together with that face), and elimination of the cells left.
+Both reductions delete pairs with one kernel, _pair_off, which reads a
+cell's partner off the sum of its live neighbours' numbers: no face is
+hashed and nothing sorted.  Only the cells left get sparse boundary
+columns; their unit pivots are eliminated sparsely, and only the block
+left without a unit entry goes to the dense Smith normal form.
 
 The reduced convention is used throughout: a point has trivial homology
 in every degree, m components give betti_0 = m - 1, and the empty
@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import accumulate, chain, combinations, compress
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -39,20 +39,27 @@ Column = dict[int, int]
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Boundary maps D_1..D_dim over canonically ordered face bases.
+    """The one numbering of a complex's cells, with each cell's faces.
 
-    columns[k-1] is D_k, mapping k-chains to (k-1)-chains: its j-th entry
-    maps the row index of each (k-1)-face of bases[k][j] to its sign, -1
-    or +1.  The dense forms (boundary, matrices) are built on demand for
+    bases[k] lists the k-faces, sorted; cells are numbered dimension by
+    dimension in basis order.  faces[c] lists the numbers of cell c's
+    codimension-one faces: the one that omits position i of c sits at
+    index i, with sign (-1)^i in the boundary of c.  The columns of D_k
+    and its dense form (boundary, matrices) are built on demand for
     oracles and tests.
     """
 
     bases: tuple[tuple[Face, ...], ...]
-    columns: tuple[tuple[Column, ...], ...]
+    faces: list[tuple[int, ...]]
 
     @property
     def dim(self) -> int:
         return len(self.bases) - 1
+
+    @property
+    def columns(self) -> list[list[Column]]:
+        """columns[k-1] is D_k; column j maps row indices in bases[k-1] to signs."""
+        return _restrict(self, [True] * len(self.faces))[1]
 
     def boundary(self, k: int) -> Matrix:
         """D_k as a dense mutable row-major matrix."""
@@ -71,39 +78,53 @@ class ChainComplex:
 
 
 def boundary_matrices(K: SimplicialComplex) -> ChainComplex:
-    """Build all boundary maps; asserts that consecutive ones compose to zero.
-
-    Signs come from the position parity of the omitted vertex in the
-    sorted vertex order.
-    """
+    """Number the cells of K once and list each cell's faces by number."""
     if K.is_empty():
         raise ValueError("the empty complex has no chain complex")
     by_dim: list[list[Face]] = [[] for _ in range(K.dim + 1)]
     for f in K.faces:
         by_dim[len(f) - 1].append(f)
     bases = tuple(tuple(sorted(fs)) for fs in by_dim)
-    columns = []
-    for k in range(1, K.dim + 1):
-        index = {f: i for i, f in enumerate(bases[k - 1])}
-        columns.append(tuple(
-            {index[f[:i] + f[i + 1:]]: -1 if i & 1 else 1 for i in range(len(f))}
-            for f in bases[k]
-        ))
-    _assert_boundary_squares_to_zero(bases, columns)
-    return ChainComplex(bases, tuple(columns))
+    cells = list(chain.from_iterable(bases))
+    number = dict(zip(cells, range(len(cells)))).__getitem__
+    # combinations omits the last position first
+    faces = [()] * len(bases[0]) + [
+        tuple(map(number, combinations(f, len(f) - 1)))[::-1] for f in cells[len(bases[0]):]
+    ]
+    return ChainComplex(bases, faces)
 
 
-def _assert_boundary_squares_to_zero(bases, columns) -> None:
-    # sparse check: D_k applied to each column of D_{k+1} must cancel
-    for k in range(1, len(columns)):
-        lower = columns[k - 1]
-        for j, col in enumerate(columns[k]):
-            acc: dict[int, int] = {}
-            for i, s in col.items():
-                for r, s2 in lower[i].items():
-                    acc[r] = acc.get(r, 0) + s * s2
-            if any(acc.values()):
-                raise RuntimeError(f"boundary of boundary nonzero at {bases[k + 1][j]}")
+def _restrict(cc: ChainComplex, keep: list[bool]) -> tuple[list[int], list[list[Column]]]:
+    """Cell counts per dimension and boundary columns of the cells kept;
+    the columns of D_k index rows by position in bases[k-1]."""
+    faces = cc.faces
+    off = [0, *accumulate(map(len, cc.bases))]
+    counts = [keep[off[k]:off[k + 1]].count(True) for k in range(len(cc.bases))]
+    columns = [
+        [
+            {s - off[k - 1]: -1 if i & 1 else 1 for i, s in enumerate(faces[c]) if keep[s]}
+            for c in compress(range(off[k], off[k + 1]), keep[off[k]:off[k + 1]])
+        ]
+        for k in range(1, len(cc.bases))
+    ]
+    return counts, columns
+
+
+def _check_faces(cc: ChainComplex, live: list[bool]) -> None:
+    """Check the face identity d_(j-1) d_i = d_i d_j (i < j) on the live cells.
+
+    d_i c is faces[c][i].  Under the signs (-1)^i the identity makes the
+    boundary of every boundary vanish: the terms d_(j-1) d_i and d_i d_j
+    of the boundary of the boundary of c carry opposite signs.
+    """
+    faces = cc.faces
+    for c in compress(range(len(faces)), live):
+        if len(F := faces[c]) > 2:
+            sub = [faces[s] for s in F]
+            cols = list(zip(*sub))  # cols[j - 1][i] is d_(j-1) d_i c
+            for j in range(1, len(F)):
+                if cols[j - 1][:j] != sub[j][:j]:
+                    raise RuntimeError(f"boundary of boundary nonzero at {[*chain(*cc.bases)][c]}")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +352,7 @@ def profile_to_obj(p: HomologyProfile) -> dict:
 # ---------------------------------------------------------------------------
 
 def _pair_off(
-    count: list[int], total: list[int], others: list[list[int]], queue: deque[int]
+    count: list[int], total: list[int], others: Sequence[Sequence[int]], queue: deque[int]
 ) -> None:
     """Delete cells in pairs, first in, first out, until the queue is empty.
 
@@ -359,83 +380,71 @@ def _pair_off(
                         queue.append(s)
 
 
-def collapse_reduce(K: SimplicialComplex) -> SimplicialComplex:
-    """Remove free pairs until none remain; preserves the homotopy type.
+def _collapse(cc: ChainComplex) -> list[bool]:
+    """Which cells are left once free pairs are removed until none remain.
 
-    A face is free when it has exactly one codimension-one coface (that
-    coface is then automatically its only coface, and maximal).  Faces are
-    numbered once, in the iteration order of a set of them, and _pair_off
-    runs on coface counts with each face's boundary as its neighbours,
-    seeded with the free faces in number order; the survivors keep that
-    order.  It decides which pairs go, but no output depends on it (each
-    collapse keeps the homology); exact reference tests compare the faces.
+    A face is free when it has exactly one codimension-one coface (then
+    its only coface, and maximal); removing the two keeps the homotopy
+    type.  _pair_off runs on coface counts with each cell's faces as its
+    neighbours, seeded with the free faces in number order, which decides
+    which pairs go; no output depends on it.
     """
-    faces = list(set(K.faces))
-    number = dict(zip(faces, range(len(faces)))).__getitem__
+    faces = cc.faces
     count = [0] * len(faces)
     cosum = [0] * len(faces)
-    # sub-faces in the order of the omitted position, f[0] first
-    boundary: list[list[int]] = [[]] * len(faces)
-    for i, f in enumerate(faces):
-        if len(f) > 1:
-            b = list(map(number, combinations(f, len(f) - 1)))
-            b.reverse()
-            boundary[i] = b
-            for s in b:
-                count[s] += 1
-                cosum[s] += i
-    _pair_off(count, cosum, boundary, deque(i for i, c in enumerate(count) if c == 1))
-    # a free pair leaves the rest downward closed, so the survivors skip validation
-    return SimplicialComplex._closed(f for f, c in zip(faces, count) if c >= 0)
+    for c, F in enumerate(faces):
+        for s in F:
+            count[s] += 1
+            cosum[s] += c
+    _pair_off(count, cosum, faces, deque(c for c, n in enumerate(count) if n == 1))
+    return [n >= 0 for n in count]
 
 
-def _coreduce(cc: ChainComplex) -> tuple[list[int], list[list[Column]]]:
-    """Cell counts and boundary columns of the cells coreduction leaves.
+def collapse_reduce(K: SimplicialComplex) -> SimplicialComplex:
+    """K with free pairs removed until none remain; same homotopy type.
 
-    Cells are numbered once, dimension by dimension in basis order.  The
-    first vertex is deleted with the empty face of the augmented complex,
-    so what is left is the relative complex, with the reduced homology of
-    K and no augmentation; each edge on that vertex is left with one face.
-    Then _pair_off runs on face counts with each cell's cofaces as its
-    neighbours (Mrozek–Batko): it deletes a cell a with one live face b,
-    and b.  The entry of b in the boundary of a is +-1, so the deletion is
-    an elementary reduction of the chain complex; b has no live face left
-    (the boundary of the boundary of a is zero), so the boundaries of the
-    cells left are those of K restricted to them.
-
-    Deleting a coreduction pair changes no cell's coface count, so after
-    collapse_reduce, which left no face with one coface, no free face can
-    appear here.
+    The collapse of reduced_homology, on the numbering of
+    boundary_matrices(K); exact reference tests compare its faces.
     """
-    off = [0]
-    for basis in cc.bases:
-        off.append(off[-1] + len(basis))
-    cofaces: list[list[int]] = [[] for _ in range(off[-1])]
-    down = [0] * off[1]
-    down_sum = [0] * off[1]
-    for k, D in enumerate(cc.columns, 1):
-        lo = off[k - 1]
-        for c, col in enumerate(D, off[k]):
-            b = [lo + i for i in col]
-            down.append(len(b))
-            down_sum.append(sum(b))
-            for s in b:
-                cofaces[s].append(c)
-    down[0] = -1  # the first vertex, paired with the empty face
-    for t in cofaces[0]:
-        down[t] = 1  # down_sum[t] is its other vertex, as vertex 0 adds 0
-    _pair_off(down, down_sum, cofaces, deque(cofaces[0]))
+    if K.is_empty():
+        return K
+    cc = boundary_matrices(K)
+    # a free pair leaves the rest downward closed, so the survivors skip validation
+    return SimplicialComplex._closed(compress(chain.from_iterable(cc.bases), _collapse(cc)))
 
-    counts = [sum(1 for c in down[off[k]:off[k + 1]] if c >= 0) for k in range(len(cc.bases))]
-    columns = []
-    for k, D in enumerate(cc.columns, 1):
-        lo = off[k - 1]
-        columns.append([
-            {i: a for i, a in col.items() if down[lo + i] >= 0}
-            for col, c in zip(D, down[off[k]:off[k + 1]])
-            if c >= 0
-        ])
-    return counts, columns
+
+def _coreduce(cc: ChainComplex, live: list[bool]) -> tuple[list[int], list[list[Column]]]:
+    """Cell counts and boundary columns of the live cells coreduction leaves.
+
+    The live cells form a nonempty subcomplex.  Its first vertex is
+    deleted with the empty face of the augmented complex, so what is left
+    is the relative complex, with the reduced homology of the live cells
+    and no augmentation.  Then _pair_off runs on face counts with each
+    live cell's cofaces as its neighbours (Mrozek–Batko): it deletes a
+    cell a with one live face b, and b.  The entry of b in the boundary
+    of a is +-1, so the deletion is an elementary reduction; b has no
+    live face left (the boundary of the boundary of a is zero), so the
+    boundaries of the cells left are restrictions.  Deleting such a pair
+    changes no coface count, so no free face appears after a collapse.
+    """
+    faces = cc.faces
+    down = [-1] * len(faces)
+    down_sum = [0] * len(faces)
+    cofaces: list = [()] * len(faces)  # a dead cell has no live coface
+    for c in compress(range(len(faces)), live):
+        F = faces[c]
+        cofaces[c] = []  # before any coface of c, which has a larger number
+        down[c] = len(F)
+        down_sum[c] = sum(F)
+        for s in F:
+            cofaces[s].append(c)
+    v = live.index(True)  # the first live vertex, paired with the empty face
+    down[v] = -1
+    for t in cofaces[v]:
+        down[t] = 1
+        down_sum[t] -= v  # leaves its other vertex
+    _pair_off(down, down_sum, cofaces, deque(cofaces[v]))
+    return _restrict(cc, [d >= 0 for d in down])
 
 
 # ---------------------------------------------------------------------------
@@ -445,37 +454,30 @@ def _coreduce(cc: ChainComplex) -> tuple[list[int], list[list[Column]]]:
 def reduced_homology(K: SimplicialComplex, *, collapse: bool = True) -> HomologyProfile:
     """Reduced integer homology from Smith normal forms of the boundaries.
 
-    The reduction runs in this order: collapse_reduce removes free pairs
-    (a face with one coface, and that coface) from K, boundary_matrices
-    builds the boundaries of what is left, and _coreduce deletes one
-    vertex and then coreduction pairs (a cell with one live face, and
-    that face).  Only the cells left reach sparse_smith_normal_form,
-    with no augmentation.  collapse=False skips both reductions,
-    eliminates the full boundaries with the augmentation (rank 1) and
-    serves as the reference path in tests.
+    boundary_matrices numbers the cells of K once, and every step reads
+    those numbers: the collapse removes free pairs (a face with one
+    coface, and that coface), the face identity is checked on every cell
+    it leaves, and _coreduce deletes one vertex and then coreduction
+    pairs (a cell with one live face, and that face).  Only the cells
+    left reach sparse_smith_normal_form, with no augmentation.  The
+    reference path of the tests, collapse=False, checks every cell and
+    eliminates the full boundaries with the augmentation (rank 1).
     """
     if K.is_empty():
         return ZERO_PROFILE
-    if collapse:
-        K = collapse_reduce(K)
     cc = boundary_matrices(K)
-    # rank_of[k] = rank D_k, with D_0 the augmentation
-    rank_of = [0] * (K.dim + 2)
-    torsion_of: list[tuple[int, ...]] = [()] * (K.dim + 2)
-    if collapse:
-        counts, columns = _coreduce(cc)
-    else:
-        counts, columns = [len(bs) for bs in cc.bases], cc.columns
-        rank_of[0] = 1
-    for k in range(1, K.dim + 1):
-        snf = sparse_smith_normal_form(columns[k - 1])
-        rank_of[k] = snf.rank
-        torsion_of[k] = snf.torsion
-    entries = []
-    for k in range(K.dim + 1):
-        betti = counts[k] - rank_of[k] - rank_of[k + 1]
-        entries.append((betti, torsion_of[k + 1]))
-    return HomologyProfile.from_pairs(entries)
+    live = _collapse(cc) if collapse else [True] * len(cc.faces)
+    _check_faces(cc, live)
+    counts, columns = _coreduce(cc, live) if collapse else _restrict(cc, live)
+    while columns and not counts[-1]:  # no cell left on top, so nothing to eliminate
+        counts.pop()
+        columns.pop()
+    snfs = [sparse_smith_normal_form(D) for D in columns] + [SnfResult(())]
+    # ranks[k] = rank D_k, with D_0 the augmentation, which _coreduce removes
+    ranks = [0 if collapse else 1] + [snf.rank for snf in snfs]
+    return HomologyProfile.from_pairs(
+        (n - ranks[k] - ranks[k + 1], snfs[k].torsion) for k, n in enumerate(counts)
+    )
 
 
 def homological_connectivity(K: SimplicialComplex) -> int:

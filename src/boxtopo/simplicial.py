@@ -30,9 +30,9 @@ class SimplicialComplex:
     It canonicalizes every face and checks the closure of whatever it is
     given.  Two face sets skip those checks, through the private
     :meth:`_closed`: the closure :func:`from_facets` has just built from
-    canonicalized facets, and the survivors of
-    ``homology.collapse_reduce``, a subset of a complex's faces that the
-    removal of free pairs keeps downward closed.
+    canonicalized facets, and the cells ``homology.collapse_reduce``
+    keeps of a complex's numbered cells, which the removal of free pairs
+    keeps downward closed.
     """
 
     __slots__ = ("faces", "vertices", "dim")
@@ -56,12 +56,11 @@ class SimplicialComplex:
     def _closed(cls, faces: Iterable[Face]) -> "SimplicialComplex":
         """A complex on faces the library has already canonicalized and closed.
 
-        The set is filled one face at a time, as the public constructor
-        fills it, so its iteration order is the same as through the public
-        constructor; no output depends on that order (see collapse_reduce).
+        No output depends on the order the faces come in: homology numbers
+        the cells in sorted order.
         """
         K = object.__new__(cls)
-        K._store(frozenset(iter(faces)))
+        K._store(frozenset(faces))
         return K
 
     def _store(self, face_set: frozenset[Face]) -> None:

@@ -171,7 +171,7 @@ def test_criterion_10_engine_self_checks(corpus_complexes):
         for K in (B, B0, neighborhood_complex(G)):
             if K.is_empty():
                 continue
-            cc = boundary_matrices(K)  # asserts dd = 0 internally
+            cc = boundary_matrices(K)  # reduced_homology checks dd = 0 on its cells
             for k in range(1, K.dim + 1):
                 M = cc.boundary(k)
                 ok &= smith_normal_form(M).rank == bareiss_rank(M)

@@ -126,8 +126,7 @@ def test_box_facets_on_bitmasks_match_the_set_based_builder():
     inputs += [kneser_graph(5, 2), Graph(1, []), Graph(5, [])]
     for G in inputs:
         N = neighborhood_complex(G)
-        # the same facets in the same order (the order decides which free
-        # pairs collapse_reduce removes from B(G); no output depends on it)
+        # the same facets in the same order (no output depends on the order)
         assert builders._box_facets(G, N) == set_box_facets(G, N), G.descriptor()
 
 

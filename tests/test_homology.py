@@ -48,6 +48,7 @@ from boxtopo.simplicial import (
     from_facets,
     nerve,
     star,
+    suspension,
 )
 
 from oracles import bareiss_rank
@@ -196,6 +197,12 @@ def corpus_complexes() -> list[SimplicialComplex]:
         complexes.append(box0_complex(G).complex)
         complexes.append(box_complex(add_cone_vertex(G)).complex)
         complexes.append(cones_over_shores_complex(G).complex)
+    # the collapse leaves these whole, so the coreduction alone is tested
+    complexes += [
+        from_facets(itertools.combinations(range(6), 5)),
+        barycentric_subdivision(box0_complex(complete_graph(4)).complex),
+        suspension(hom_k2_order_complex(complete_graph(4)).complex),
+    ]
     return complexes
 
 
@@ -295,11 +302,61 @@ def test_sparse_columns_match_the_dense_boundary():
 
 
 def test_boundary_check_rejects_a_wrong_sign():
+    # signs are positions: swapping two faces of a triangle flips both signs
     cc = boundary_matrices(TETRA_BOUNDARY)
-    columns = [[dict(c) for c in D] for D in cc.columns]
-    columns[1][0][0] *= -1
+    live = [True] * len(cc.faces)
+    homology._check_faces(cc, live)
+    c = len(cc.bases[0]) + len(cc.bases[1])  # the first triangle
+    F = cc.faces[c]
+    cc.faces[c] = (F[1], F[0]) + F[2:]
     with pytest.raises(RuntimeError, match="boundary of boundary nonzero"):
-        homology._assert_boundary_squares_to_zero(cc.bases, columns)
+        homology._check_faces(cc, live)
+    # a cell left out of the check is not checked
+    live[c] = False
+    homology._check_faces(cc, live)
+
+
+def corrupted_boundary_matrices(K: SimplicialComplex):
+    """boundary_matrices(K) with the first two faces of its last cell
+    swapped, which flips their signs."""
+    cc = boundary_matrices(K)
+    F = cc.faces[-1]
+    cc.faces[-1] = (F[1], F[0]) + F[2:]
+    return cc
+
+
+@pytest.mark.parametrize("collapse", [True, False])
+def test_a_wrong_boundary_on_a_cell_the_collapse_keeps_is_rejected(monkeypatch, collapse):
+    # the collapse leaves a sphere whole, so the corrupted cell reaches the check
+    monkeypatch.setattr(homology, "boundary_matrices", corrupted_boundary_matrices)
+    for K in (TETRA_BOUNDARY, hom_k2_order_complex(complete_graph(4)).complex):
+        assert len(collapse_reduce(K)) == len(K)
+        with pytest.raises(RuntimeError, match="boundary of boundary nonzero"):
+            reduced_homology(K, collapse=collapse)
+
+
+def test_one_homology_call_numbers_its_complex_once(monkeypatch):
+    # B(cone C5): the collapse removes most faces; Hom(K2, K5): it removes none
+    calls = []
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapped
+
+    cone = box_complex(add_cone_vertex(cycle_graph(5))).complex
+    hom = hom_k2_order_complex(complete_graph(5)).complex
+    assert len(collapse_reduce(cone)) < len(cone) / 2
+    assert len(collapse_reduce(hom)) == len(hom)
+    for name in ("boundary_matrices", "collapse_reduce"):
+        monkeypatch.setattr(homology, name, counting(name, getattr(homology, name)))
+    closed = SimplicialComplex.__dict__["_closed"].__func__
+    monkeypatch.setattr(SimplicialComplex, "_closed", classmethod(counting("_closed", closed)))
+    for K in (cone, hom):
+        del calls[:]
+        reduced_homology(K)
+        assert calls == ["boundary_matrices"]
 
 
 def test_sparse_snf_matches_dense_per_degree():
@@ -371,7 +428,8 @@ def vertex_scan_collapse(K: SimplicialComplex) -> SimplicialComplex:
         cofaces = (tuple(sorted(f + (v,))) for v in verts if v not in fs)
         return next(g for g in cofaces if g in faces)
 
-    queue = deque(f for f, c in count.items() if c == 1)
+    # seeded in the order the cells are numbered, as collapse_reduce seeds
+    queue = deque(f for f in sorted(faces, key=lambda f: (len(f), f)) if count[f] == 1)
     while queue:
         f = queue.popleft()
         if f not in faces or count[f] != 1:
@@ -471,7 +529,7 @@ def assert_coreduction_matches_the_reference(K: SimplicialComplex) -> None:
         return  # reduced_homology does not coreduce it
     for L in (K, collapse_reduce(K)):
         cc = boundary_matrices(L)
-        counts, columns = homology._coreduce(cc)
+        counts, columns = homology._coreduce(cc, [True] * len(cc.faces))
         ref_counts, ref_columns = reference_coreduce(cc)
         assert counts == ref_counts
         assert [[list(c.items()) for c in D] for D in columns] == [
