@@ -40,7 +40,6 @@ from .builders import (
     shore_subcomplex,
 )
 from .graphs import (
-    COLORING_GUARD,
     Graph,
     add_cone_vertex,
     all_labeled_graphs,
@@ -294,7 +293,7 @@ def verify_nerve_identity(Z: Z2Complex, *, builds: Builds | None = None) -> Veri
 
 def verify_cone_graph(G: Graph, *, builds: Builds | None = None) -> VerificationOutcome:
     """Adding a dominating vertex suspends the box complex homology and
-    raises the chromatic number by one (the chi check obeys the guard)."""
+    raises the chromatic number by one."""
     builds = builds or Builds()
     Gp = add_cone_vertex(G)
     prof_b = builds.box_homology(G)
@@ -302,24 +301,16 @@ def verify_cone_graph(G: Graph, *, builds: Builds | None = None) -> Verification
     # B(G) is empty exactly when G has no edge
     expected = suspension_shift(prof_b, of_empty=not G.edges)
     homology_ok = prof_bp == expected
-    details: dict = {
-        "expected": {"profile": profile_to_obj(expected)},
-        "observed": {"profile": profile_to_obj(prof_bp)},
-    }
-    chi_ok = True
-    if Gp.n <= COLORING_GUARD:
-        chi_g = chromatic_number(G)
-        chi_gp = chromatic_number(Gp)
-        chi_ok = chi_gp == chi_g + 1
-        details["expected"]["chi"] = chi_g + 1
-        details["observed"]["chi"] = chi_gp
-    else:
-        details["observed"]["chi"] = "skipped (size guard)"
+    chi_g = chromatic_number(G)
+    chi_gp = chromatic_number(Gp)
     return VerificationOutcome(
         check="cone-graph",
         input=G.descriptor(),
-        passed=homology_ok and chi_ok,
-        details=details,
+        passed=homology_ok and chi_gp == chi_g + 1,
+        details={
+            "expected": {"profile": profile_to_obj(expected), "chi": chi_g + 1},
+            "observed": {"profile": profile_to_obj(prof_bp), "chi": chi_gp},
+        },
     )
 
 

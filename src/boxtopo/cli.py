@@ -133,7 +133,8 @@ def cmd_homology(args: argparse.Namespace) -> int:
 # bounds
 # ---------------------------------------------------------------------------
 
-# complexes are bounded where they are built (simplicial.FACE_BUDGET)
+# complexes are bounded where they are built (simplicial.FACE_BUDGET) and
+# the coloring and isomorphism searches where they run (SEARCH_BUDGET)
 VERIFY_GUARD = 7  # `verify all --max-n 8` takes 80.5 s and 826 MB on a 2-vCPU VM
 
 
@@ -145,7 +146,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     lov = bd.lovasz_bound(G)
     exact = None
     if args.exact:
-        exact = graphs.chromatic_number(G, force=args.force)
+        exact = graphs.chromatic_number(G)
         lov = dataclasses.replace(lov, exact_chi=exact)
         sar = dataclasses.replace(sar, exact_chi=exact)
     if args.format == "table":
@@ -428,7 +429,6 @@ def _parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="chromatic lower bounds for a graph file")
     b.add_argument("input")
     b.add_argument("--exact", action="store_true", help="also compute exact chi")
-    b.add_argument("--force", action="store_true", help="override the exact-coloring guard")
     b.add_argument("--format", choices=["json", "table"], default="json")
     b.add_argument("-o", "--output")
     b.set_defaults(func="cmd_bounds")

@@ -89,10 +89,12 @@ def greedy_clique_lower_bound(G: Graph) -> int:
     return best
 
 
-def _k_colorable(G: Graph, k: int) -> bool:
-    """Backtracking k-colorability with DSATUR vertex selection."""
+def _k_colorable(G: Graph, k: int, steps: int) -> tuple[bool, int]:
+    """Backtracking k-colorability with DSATUR vertex selection, and the
+    search steps taken so far: `steps` plus G.n per vertex colored, since
+    pick() scans every vertex."""
     if k >= G.n:
-        return True
+        return True, steps
     colors = [-1] * G.n
     neighbor_colors: list[set[int]] = [set() for _ in range(G.n)]
 
@@ -110,6 +112,7 @@ def _k_colorable(G: Graph, k: int) -> bool:
     # stack, so long graphs need no recursion
     stack: list[list] = []
     used = 0
+    what = f"the coloring search on {G.n} vertices"
     while len(stack) < G.n:
         v = pick()
         if len(neighbor_colors[v]) < k:
@@ -117,7 +120,7 @@ def _k_colorable(G: Graph, k: int) -> bool:
         # give the top vertex its next color, backtracking while none is left
         while True:
             if not stack:
-                return False
+                return False, steps
             frame = stack[-1]
             v, before, c, touched = frame
             if colors[v] != -1:
@@ -132,6 +135,8 @@ def _k_colorable(G: Graph, k: int) -> bool:
             if c < limit:
                 break
             stack.pop()
+        steps += G.n
+        check_face_budget(steps, what, "search")
         colors[v] = c
         frame[2] = c + 1
         for w in G.adj[v]:
@@ -139,13 +144,10 @@ def _k_colorable(G: Graph, k: int) -> bool:
                 neighbor_colors[w].add(c)
                 touched.append(w)
         used = max(before, c + 1)
-    return True
+    return True, steps
 
 
-COLORING_GUARD = 20
-
-
-def chromatic_number(G: Graph, *, force: bool = False) -> int:
+def chromatic_number(G: Graph) -> int:
     """Exact chromatic number: the least k, counting up from a greedy
     clique's size, for which the backtracking search _k_colorable succeeds.
 
@@ -154,19 +156,15 @@ def chromatic_number(G: Graph, *, force: bool = False) -> int:
     the smallest free color first.  So for any k at least DSATUR's color
     count its first descent is DSATUR's coloring and it never backtracks:
     the loop stops there at the latest, and a separate DSATUR pass would
-    bound nothing.  Guarded at `COLORING_GUARD` vertices (override with
-    force=True).
+    bound nothing.  The searches for every k share one `SEARCH_BUDGET`.
     """
     if G.n < 1:
         raise ValueError("chromatic number needs at least one vertex")
-    if G.n > COLORING_GUARD and not force:
-        raise ValueError(
-            f"graph on {G.n} vertices exceeds the exact-coloring guard "
-            f"({COLORING_GUARD}); pass force=True (`bounds --force`) to override"
-        )
     k = greedy_clique_lower_bound(G)
-    while not _k_colorable(G, k):
+    colorable, steps = _k_colorable(G, k, 0)
+    while not colorable:
         k += 1
+        colorable, steps = _k_colorable(G, k, steps)
     return k
 
 

@@ -156,7 +156,7 @@ def smith_normal_form(M: Matrix) -> SnfResult:
     remaining block, ties broken by row-major position.  The pivot's
     column is cleared with floor-division remainders, then its row; a
     nonzero remainder is smaller than the pivot and is picked next.  The
-    divisibility chain is enforced on the diagonal afterwards
+    divisibility chain is established on the diagonal afterwards
     (diag(a,b) ~ diag(gcd, lcm)).
     """
     A = [list(row) for row in M]
@@ -196,7 +196,7 @@ def smith_normal_form(M: Matrix) -> SnfResult:
             diag.append(abs(p))
             t += 1
 
-    # enforce the divisibility chain on the diagonal
+    # establish the divisibility chain on the diagonal
     changed = True
     while changed:
         changed = False

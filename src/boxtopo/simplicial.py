@@ -222,11 +222,22 @@ class Z2Complex:
 # faces) is admitted, B(K13) (1,594,320) is refused with exit 2.
 FACE_BUDGET = 1_000_000
 
+# The most steps an exact coloring or isomorphism search may take: a
+# coloring step is one vertex scanned while picking the next vertex to
+# color, an isomorphism step one face scanned at a node of the search.
+# On a 2-vCPU VM chromatic_number(M6) takes 21.2 million steps in 3 s; a
+# coloring search refused here has run 22-23 s (M7, G(120, 0.3)), as long
+# as `bounds --exact` on K12 takes, and an isomorphism search 6-11 s.
+SEARCH_BUDGET = 150_000_000
 
-def check_face_budget(count: int, what: str) -> None:
-    """Raise a one-line ValueError when `count`, a floor on what `what` builds, passes it."""
-    if count > FACE_BUDGET:
-        raise ValueError(f"{what} would pass the face budget ({FACE_BUDGET:,} faces)")
+
+def check_face_budget(count: int, what: str, budget: str = "face") -> None:
+    """Raise a one-line ValueError when `count`, a floor on what `what` builds
+    (faces) or the steps its search has taken (budget="search"), passes that
+    budget, read at call time."""
+    limit, unit = (FACE_BUDGET, "faces") if budget == "face" else (SEARCH_BUDGET, "steps")
+    if count > limit:
+        raise ValueError(f"{what} would pass the {budget} budget ({limit:,} {unit})")
 
 
 def from_facets(facets: Iterable[Iterable[int]]) -> SimplicialComplex:
@@ -426,21 +437,14 @@ def _vertex_signature(K: SimplicialComplex) -> dict[int, tuple]:
     return {v: tuple(sorted(s)) for v, s in sig.items()}
 
 
-ISOMORPHISM_GUARD = 12
-
-
 def isomorphic(K1: SimplicialComplex, K2: SimplicialComplex) -> bool:
     """Exact isomorphism test by pruned backtracking over vertex bijections.
 
-    Exponential by design; refuses inputs above `ISOMORPHISM_GUARD` vertices.
+    Exponential by design: each node of the search scans the faces of K1,
+    and each face scanned counts one step toward `SEARCH_BUDGET`.
     """
     if len(K1.vertices) != len(K2.vertices) or K1.f_vector() != K2.f_vector():
         return False
-    if len(K1.vertices) > ISOMORPHISM_GUARD:
-        raise ValueError(
-            f"isomorphism search on {len(K1.vertices)} vertices exceeds the "
-            f"guard ({ISOMORPHISM_GUARD})"
-        )
     sig1 = _vertex_signature(K1)
     sig2 = _vertex_signature(K2)
     if sorted(sig1.values()) != sorted(sig2.values()):
@@ -451,36 +455,38 @@ def isomorphic(K1: SimplicialComplex, K2: SimplicialComplex) -> bool:
     assignment: dict[int, int] = {}
     used: set[int] = set()
 
-    def faces_within(K: SimplicialComplex, dom: set[int]) -> set[Face]:
-        return {f for f in K.faces if dom.issuperset(f)}
-
-    def consistent(v: int) -> bool:
+    steps = 0
+    what = f"an isomorphism search on {len(K1.vertices)} vertices"
+    # tried[i] indexes the candidate v1[i] is mapped to; an explicit stack,
+    # so long complexes need no recursion.  Each face of K1 is checked when
+    # its last vertex is mapped, so a complete map sends faces to faces
+    # injectively, and with equal f-vectors it is an isomorphism
+    tried = [-1]
+    while tried:
+        if len(tried) > len(v1):
+            return True
+        v = v1[len(tried) - 1]
+        if v in assignment:
+            used.discard(assignment.pop(v))
+        tried[-1] += 1
+        if tried[-1] == len(candidates[v]):
+            tried.pop()
+            continue
+        w = candidates[v][tried[-1]]
+        if w in used:
+            continue
+        assignment[v] = w
+        used.add(w)
+        steps += len(K1.faces)
+        check_face_budget(steps, what, "search")
         dom = set(assignment)
-        for f in K1.faces:
-            if v in f and dom.issuperset(f):
-                img = tuple(sorted(assignment[u] for u in f))
-                if img not in K2.faces:
-                    return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == len(v1):
-            return faces_within(K2, used) == {
-                tuple(sorted(assignment[u] for u in f)) for f in K1.faces
-            }
-        v = v1[i]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            assignment[v] = w
-            used.add(w)
-            if consistent(v) and backtrack(i + 1):
-                return True
-            del assignment[v]
-            used.discard(w)
-        return False
-
-    return backtrack(0)
+        if all(
+            tuple(sorted(assignment[u] for u in f)) in K2.faces
+            for f in K1.faces
+            if v in f and dom.issuperset(f)
+        ):
+            tried.append(-1)
+    return False
 
 
 # ---------------------------------------------------------------------------

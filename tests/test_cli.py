@@ -99,19 +99,25 @@ def test_bounds_c5(tmp_path):
     assert obj["exact_chi"] == 3
 
 
-def test_bounds_guard_exit_2(tmp_path):
-    g = tmp_path / "big.json"
-    obj = {"n": 25, "edges": [[i, i + 1] for i in range(24)]}
-    g.write_text(json.dumps(obj))
+def test_bounds_guard_exit_2(tmp_path, capsys, monkeypatch):
+    g = tmp_path / "kg52.json"
+    run(tmp_path, "gen", "kneser", "5", "2", "-o", str(g))
+    monkeypatch.setattr(simplicial, "SEARCH_BUDGET", 10)
     assert run(tmp_path, "bounds", str(g), "--exact") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "search budget (10 steps)" in err
 
 
-def test_exact_coloring_guard_names_the_cli_flag(tmp_path, capsys):
+def test_exact_coloring_guard_names_the_cli_flag(tmp_path):
+    # the search budget counts steps, not vertices, and has no override flag
     g = tmp_path / "p21.json"
     g.write_text(json.dumps({"n": 21, "edges": [[i, i + 1] for i in range(20)]}))
-    assert run(tmp_path, "bounds", str(g), "--exact") == 2
-    assert "--force" in capsys.readouterr().err
-    assert run(tmp_path, "bounds", str(g), "--exact", "--force", "-o", str(tmp_path / "b.json")) == 0
+    out = tmp_path / "b.json"
+    assert run(tmp_path, "bounds", str(g), "--exact", "-o", str(out)) == 0
+    assert json.loads(out.read_text())["exact_chi"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", str(g), "--exact", "--force"])
+    assert exc.value.code == 2
 
 
 def test_exact_coloring_of_a_long_cycle_needs_no_recursion(tmp_path):
@@ -119,8 +125,24 @@ def test_exact_coloring_of_a_long_cycle_needs_no_recursion(tmp_path):
     g = tmp_path / "c1201.json"
     assert run(tmp_path, "gen", "cycle", "1201", "-o", str(g)) == 0
     out = tmp_path / "b.json"
-    assert run(tmp_path, "bounds", str(g), "--exact", "--force", "-o", str(out)) == 0
+    assert run(tmp_path, "bounds", str(g), "--exact", "-o", str(out)) == 0
     assert json.loads(out.read_text())["exact_chi"] == 3
+
+
+def test_bounds_of_m5_are_tight(tmp_path):
+    # M5 = M(M(C5)), the Mycielski graph of the Grötzsch graph: 23 vertices,
+    # chi 5, and Lovász's bound is tight on it
+    n, edges = 5, [(i, (i + 1) % 5) for i in range(5)]
+    for _ in range(2):
+        edges += [(u, n + v) for a, b in edges for u, v in ((a, b), (b, a))]
+        edges += [(n + i, 2 * n) for i in range(n)]
+        n = 2 * n + 1
+    g = tmp_path / "m5.json"
+    g.write_text(json.dumps({"n": n, "edges": edges}))
+    out = tmp_path / "b.json"
+    assert run(tmp_path, "bounds", str(g), "--exact", "-o", str(out)) == 0
+    obj = json.loads(out.read_text())
+    assert (n, obj["lovasz"]["value"], obj["exact_chi"]) == (23, 5, 5)
 
 
 def test_bounds_refuses_an_oversized_graph_before_lovasz(tmp_path, capsys, monkeypatch):
@@ -464,9 +486,9 @@ def test_output_bytes_match_pinned_digests(tmp_path):
         ("kg62", "kneser", "6", "2"),
     ):
         paths[f"bounds_{name}"] = out(f"bounds_{name}", "bounds", out(name, "gen", *gen), "--exact")
-    # KG(7, 2) has 21 vertices, one past the exact-coloring guard
+    # KG(7, 2) has 21 vertices and chi 5
     kg72 = out("kg72", "gen", "kneser", "7", "2")
-    paths["bounds_kg72"] = out("bounds_kg72", "bounds", kg72, "--exact", "--force")
+    paths["bounds_kg72"] = out("bounds_kg72", "bounds", kg72, "--exact")
     for kind, name in (("n", "nbhd"), ("box0", "box0"), ("bc", "bc")):
         for graph, path in (("c5", g), ("kg", kg)):
             paths[f"{name}_{graph}"] = out(f"{name}_{graph}", "complex", kind, path)

@@ -125,10 +125,29 @@ def test_chromatic_number_brute_force_seven_vertices():
 
 
 def test_chromatic_guard():
-    G = Graph(25, [(i, i + 1) for i in range(24)])
-    with pytest.raises(ValueError):
+    # the search budget counts steps, not vertices: a long path colors at once
+    assert chromatic_number(Graph(25, [(i, i + 1) for i in range(24)])) == 2
+
+
+def test_search_budget_bounds_the_coloring_of_m5(monkeypatch):
+    # M5 = M(M(C5)) by the Mycielski construction: a shadow n + v joined to
+    # the neighbours of v, and an apex 2n joined to the shadows
+    G = cycle_graph(5)
+    for _ in range(2):
+        n = G.n
+        shadows = [(u, n + v) for a, b in G.edges for u, v in ((a, b), (b, a))]
+        G = Graph(2 * n + 1, [*G.edges, *shadows, *((n + v, 2 * n) for v in range(n))])
+    assert G.n == 23
+    # k = 2 (the clique bound) to 5 share one budget: 942 vertices colored,
+    # each after a scan of all 23
+    monkeypatch.setattr(simplicial, "SEARCH_BUDGET", 21_666)
+    assert chromatic_number(G) == 5
+    monkeypatch.setattr(simplicial, "SEARCH_BUDGET", 21_665)
+    with pytest.raises(ValueError) as exc:
         chromatic_number(G)
-    assert chromatic_number(G, force=True) == 2
+    assert str(exc.value) == (
+        "the coloring search on 23 vertices would pass the search budget (21,665 steps)"
+    )
 
 
 def test_cone_vertex():

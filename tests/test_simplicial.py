@@ -338,10 +338,26 @@ def test_isomorphic_relabeled_subdivisions():
     assert isomorphic(sd, sd.relabel(perm))
 
 
-def test_isomorphic_guard():
-    big = barycentric_subdivision(TETRA_BOUNDARY)  # 14 vertices
-    with pytest.raises(ValueError):
-        isomorphic(big, big)
+def test_isomorphic_guard(monkeypatch):
+    # the search budget counts the faces checked, not the vertices: two
+    # labelings of the 14-cycle take 44 checks of its 28 faces
+    C = from_facets([[i, (i + 1) % 14] for i in range(14)])
+    D = C.relabel({v: 3 * v % 14 for v in C.vertices})
+    monkeypatch.setattr(simplicial, "SEARCH_BUDGET", 1232)
+    assert isomorphic(C, D)
+    monkeypatch.setattr(simplicial, "SEARCH_BUDGET", 1231)
+    with pytest.raises(ValueError) as exc:
+        isomorphic(C, D)
+    assert str(exc.value) == (
+        "an isomorphism search on 14 vertices would pass the search budget (1,231 steps)"
+    )
+
+
+def test_isomorphism_of_a_long_cycle_needs_no_recursion():
+    # one search frame per vertex: a recursive search passes Python's
+    # default recursion limit of 1000 here
+    C = from_facets([[i, (i + 1) % 1001] for i in range(1001)])
+    assert isomorphic(C, C)
 
 
 def test_involution_must_be_order_two():
