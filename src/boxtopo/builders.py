@@ -24,9 +24,9 @@ from .simplicial import (
     Involution,
     SimplicialComplex,
     Z2Complex,
+    _maximal_chains,
     check_face_budget,
     from_facets,
-    order_complex,
     strong_core,
 )
 
@@ -119,13 +119,15 @@ class Builds:
         ))
 
     def hom(self, G: Graph) -> Z2Complex:
+        """Hom(K2, G), closed from the maximal chains of its pair poset,
+        with the side swap checked on those chains."""
         def make() -> Z2Complex:
             elements = _hom_pairs(G, self.neighborhood(G))
             index = {p: i for i, p in enumerate(elements)}
             # componentwise inclusion of pairs is inclusion of their shore encodings
-            K = order_complex(_encode_pair(A, B) for A, B in elements)
+            chains = _maximal_chains([_encode_pair(A, B) for A, B in elements])
             mapping = {index[(a, b)]: index[(b, a)] for a, b in elements}
-            return Z2Complex(K, Involution(mapping))
+            return Z2Complex._generated(from_facets(chains), Involution(mapping), chains)
 
         return self._get("hom", G, make)
 

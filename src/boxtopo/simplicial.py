@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Hashable
 
 Face = tuple[int, ...]
@@ -106,7 +107,9 @@ class SimplicialComplex:
         In a downward-closed face set a face is maximal exactly when it is
         no codimension-one face of another.
         """
-        covered = {f[:i] + f[i + 1:] for f in self.faces if len(f) > 1 for i in range(len(f))}
+        covered: set[Face] = set()
+        for f in self.faces:
+            covered.update(itertools.combinations(f, len(f) - 1))
         return sorted(self.faces - covered)
 
     def relabel(self, mapping: dict[int, int]) -> "SimplicialComplex":
@@ -315,92 +318,102 @@ def sd_vertex_faces(K: SimplicialComplex) -> list[Face]:
     return sorted(K.faces, key=lambda f: (len(f), f))
 
 
-def order_complex(sets: Iterable[Iterable[int]]) -> SimplicialComplex:
-    """Chains of a family of distinct vertex sets under strict inclusion.
-
-    Vertex i of the result stands for the i-th set of the family.  Every
-    member, comparable pair and chain is a face, counted as it is found.
+def _maximal_chains(sets: Iterable[Iterable[int]]) -> list[Face]:
+    """The maximal chains of distinct vertex sets under strict inclusion, each
+    once, as tuples of positions in `sets`: the walks along covers from a
+    minimal member to a maximal one.  Members and comparable pairs count
+    against the face budget as they are found, and so does each chain.
     """
     members = [frozenset(s) for s in sets]
     containing: dict[int, list[int]] = {}
     for j, t in enumerate(members):
         for v in t:
             containing.setdefault(v, []).append(j)
-    above, faces = [], len(members)
+    covers, faces = [], len(members)
     for s in members:
         # a superset of s contains the rarest vertex of s
         near = containing[min(s, key=lambda v: len(containing[v]))] if s else range(len(members))
-        above.append([j for j in near if s < members[j]])
-        faces += len(above[-1])
+        above = sorted((j for j in near if s < members[j]), key=lambda j: len(members[j]))
+        faces += len(above)
         check_face_budget(faces, "the members and comparable pairs of an order complex")
-    # each chain is built exactly once, upwards from its smallest member
+        # taken smallest first, a member covers s unless a cover found already lies below it
+        cover: list[int] = []
+        for j in above:
+            if not any(members[c] < members[j] for c in cover):
+                cover.append(j)
+        covers.append(cover)
+    # an explicit stack of walks, so long chains need no recursion
     chains: list[Face] = []
+    walks = [(i,) for i in set(range(len(members))).difference(*covers)]
+    while walks:
+        chain = walks.pop()
+        if not covers[chain[-1]]:
+            chains.append(chain)
+            check_face_budget(len(chains), "the maximal chains of an order complex")
+        walks.extend(chain + (j,) for j in covers[chain[-1]])
+    return chains
 
-    def extend(chain: Face):
-        chains.append(chain)
-        check_face_budget(len(chains), "the chains of an order complex")
-        for j in above[chain[-1]]:
-            extend(chain + (j,))
 
-    for i in range(len(members)):
-        extend((i,))
-    return SimplicialComplex(chains)
+def order_complex(sets: Iterable[Iterable[int]]) -> SimplicialComplex:
+    """Chains of a family of distinct vertex sets under strict inclusion.
+
+    Vertex i of the result stands for the i-th set of the family.  The
+    complex is the closure of the maximal chains, whose faces the closure
+    counts against the face budget after the walk has counted its own.
+    """
+    return from_facets(_maximal_chains(sets))
 
 
 def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
     """Chains of faces of K under strict inclusion, on dense fresh labels.
 
-    Labels follow :func:`sd_vertex_faces`; downstream constructions
-    consume only the relabeled complex.
+    Labels follow :func:`sd_vertex_faces`; the result is the closure of
+    the maximal chains, as :func:`order_complex` builds it.
     """
     return order_complex(sd_vertex_faces(K))
 
 
 def subdivide_involution(Z: Z2Complex) -> Z2Complex:
-    """Barycentric subdivision with the induced action on face-vertices."""
+    """Barycentric subdivision with the induced action on face-vertices,
+    checked on the maximal chains the subdivision is closed from."""
     order = sd_vertex_faces(Z.complex)
     index = {f: i for i, f in enumerate(order)}
     act = Z.action
     mapping = {index[f]: index[act.on_face(f)] for f in order}
-    return Z2Complex(order_complex(order), Involution(mapping))
+    chains = _maximal_chains(order)
+    return Z2Complex._generated(from_facets(chains), Involution(mapping), chains)
 
 
 def fresh_labels(K: SimplicialComplex, count: int) -> tuple[int, ...]:
     """The `count` smallest nonnegative integers unused by K."""
     used = set(K.vertices)
-    out = []
-    v = 0
-    while len(out) < count:
-        if v not in used:
-            out.append(v)
-        v += 1
-    return tuple(out)
+    return tuple(itertools.islice((v for v in itertools.count() if v not in used), count))
 
 
 def suspension(K: SimplicialComplex) -> SimplicialComplex:
-    """Join with two fresh apexes (never a face containing both).
+    """Join with two fresh apexes (never a face containing both): the
+    closure of each facet of K joined with each apex, and the apexes.
 
     suspension(empty) is a two-point sphere, and
     chi(suspension(K)) = 2 - chi(K) always.
     """
-    x, y = fresh_labels(K, 2)
-    faces: set[Face] = set(K.faces)
-    faces.add((x,))
-    faces.add((y,))
-    for f in K.faces:
-        faces.add(tuple(sorted(f + (x,))))
-        faces.add(tuple(sorted(f + (y,))))
-    return SimplicialComplex(faces)
+    return from_facets(_apex_joined(K, *fresh_labels(K, 2)))
+
+
+def _apex_joined(K: SimplicialComplex, x: int, y: int) -> list[Face]:
+    facets = K.facets()
+    return [(x,), (y,)] + [f + (x,) for f in facets] + [f + (y,) for f in facets]
 
 
 def z2_suspension(Z: Z2Complex) -> Z2Complex:
-    """Suspension whose action swaps the apexes over the given action."""
+    """Suspension whose action swaps the apexes over the given action,
+    checked on the apex-joined facets the suspension is closed from."""
     x, y = fresh_labels(Z.complex, 2)
-    susp = suspension(Z.complex)
+    generators = _apex_joined(Z.complex, x, y)
     mapping = Z._restricted_map()
     mapping[x] = y
     mapping[y] = x
-    return Z2Complex(susp, Involution(mapping))
+    return Z2Complex._generated(from_facets(generators), Involution(mapping), generators)
 
 
 def star(K: SimplicialComplex, sigma: Iterable[int]) -> SimplicialComplex:
@@ -570,5 +583,36 @@ def complex_from_obj(obj: dict) -> tuple[SimplicialComplex, Involution | None]:
 
 
 def dumps_canonical(obj) -> str:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON: sorted keys, two-space indent, trailing newline.
+
+    Byte for byte ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``,
+    written here because an indent turns off the stdlib's C encoder.  An
+    object holding anything but dicts with str keys, lists, tuples, str,
+    int, bool and None (a float, a non-str key, a subclass) goes to the
+    stdlib whole.
+    """
+    try:
+        return _encode(obj, "\n") + "\n"
+    except TypeError:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _encode(x, newline: str) -> str:
+    """x in the canonical layout, its lines after the first opened by `newline`."""
+    t, inner = type(x), newline + "  "
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is int:
+        return str(x)
+    if x is None or t is bool:
+        return "null" if x is None else "true" if x else "false"
+    if not x and (t is list or t is tuple or t is dict):
+        return "{}" if t is dict else "[]"
+    if t is list or t is tuple:
+        # type(v) is int: bool is a subclass of int
+        parts = map(str, x) if all(type(v) is int for v in x) else [_encode(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if t is dict and all(type(k) is str for k in x):
+        parts = [encode_basestring_ascii(k) + ": " + _encode(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    raise TypeError(f"{t.__name__} is left to the stdlib encoder")

@@ -432,7 +432,10 @@ def test_null_graph_bounds_exit_2(tmp_path, capsys):
 # "verify6" was recorded while verify still ran suite by suite, before the
 # checks on one input shared one Builds scope.  The "nbhd", "box0" and "bc"
 # entries (C5 and KG(5,2)) were recorded before B(G), B0(G) and the
-# cones-over-shores complex shared one shore-swap constructor.
+# cones-over-shores complex shared one shore-swap constructor.  The "hom_kg",
+# "sd_kg", "susp_kg", "sd_rp2" and "susp_rp2" entries were recorded while
+# order complexes were still built chain by chain and suspensions face by face,
+# before both were closed from their facets.
 PINNED_DIGESTS = {
     "verify": "111aa2e8a8cafa5e79dc756f347f8719000d8d451298a7a6a7c9404b2a60dada",
     "verify6": "27f5093c32d313c684a09859dc56ba347c4d3073221f84d07ec7f8e3094cd067",
@@ -456,6 +459,11 @@ PINNED_DIGESTS = {
     "box0_kg": "86d6577fa6d5358bc9b3a999293e79e6fa42cbaf9b609620988fcd5a7ec61498",
     "bc_c5": "357bfa6fbdcbf38bd6b38320621c49f32830db1b295e96fbf0db2e648ae4e3c3",
     "bc_kg": "ea31b10808c5bf730585e04242bb68105bb95f3e73995b8be0493d56e537cd0c",
+    "hom_kg": "5363f247f8a543ab29266059d114bd6b91f041b75059353054ee8b8bba25421e",
+    "sd_kg": "d141b146aa8fc2b69e5bea7b6f64c15e30428484d71f01f0f8a5dbee3e9b1bd9",
+    "susp_kg": "2ff9f4cc6641612eaad7ffdaf28453e6aa6c5fc1d1174851ef02439f14279a3f",
+    "sd_rp2": "836b59346f038d8d2ee8bf72201a479b71e3ca298da688c9312d20bdfe315ded",
+    "susp_rp2": "7f6eb8f47f860c3a1f03487a8b24257eea3d7cd374e2628754c272df691f007b",
 }
 
 
@@ -492,5 +500,13 @@ def test_output_bytes_match_pinned_digests(tmp_path):
     for kind, name in (("n", "nbhd"), ("box0", "box0"), ("bc", "bc")):
         for graph, path in (("c5", g), ("kg", kg)):
             paths[f"{name}_{graph}"] = out(f"{name}_{graph}", "complex", kind, path)
+    # order complexes and suspensions, with an involution (KG(5,2)) and without (RP^2)
+    paths["hom_kg"] = out("hom_kg", "complex", "hom", kg)
+    box_kg = out("box_kg", "complex", "box", kg)
+    for kind, name, path in (
+        ("sd", "sd_kg", box_kg), ("susp", "susp_kg", paths["hom_kg"]),
+        ("sd", "sd_rp2", str(rp2)), ("susp", "susp_rp2", str(rp2)),
+    ):
+        paths[name] = out(name, "complex", kind, path)
     digests = {k: hashlib.sha256(Path(p).read_bytes()).hexdigest() for k, p in paths.items()}
     assert digests == PINNED_DIGESTS

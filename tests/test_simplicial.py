@@ -163,21 +163,36 @@ def pairwise_order_complex(sets) -> SimplicialComplex:
     return SimplicialComplex(chains)
 
 
-def test_order_complex_matches_the_pairwise_reference():
+def order_families() -> list:
     families = [[()], [(), (0,), (1,), (0, 1)], [(v,) for v in range(50)]]
+    # members of differing sizes, so a cover is not always one vertex larger
+    families.append([(0,), (0, 1, 2), (0, 1, 2, 3), (1,), (1, 3), (0, 1, 2, 3, 4, 5), (5, 6)])
     for G in connected_graph_corpus(5):
         families.append(sd_vertex_faces(box_complex(G).complex))
         families.append([_encode_pair(A, B) for A, B in hom_pairs(G)])
-    for family in families:
+    return families
+
+
+def test_order_complex_matches_the_pairwise_reference():
+    for family in order_families():
         assert order_complex(family) == pairwise_order_complex(family)
+
+
+def test_order_complex_facets_are_the_maximal_chains():
+    # the walk lists each maximal chain of the reference once, and closes them
+    for family in order_families():
+        maximal = pairwise_order_complex(family).facets()
+        assert sorted(tuple(sorted(c)) for c in simplicial._maximal_chains(family)) == maximal
+        assert order_complex(family).facets() == maximal
 
 
 def test_order_complex_budget_counts_members_pairs_and_chains(monkeypatch):
     family = sd_vertex_faces(SOLID_TRIANGLE)  # 7 members, 12 pairs, 6 triangles
     monkeypatch.setattr(simplicial, "FACE_BUDGET", 25)
     assert len(order_complex(family)) == 25
-    # members and comparable pairs are refused before any chain is built
-    for budget, counted in ((24, "chains"), (18, "comparable pairs"), (6, "comparable pairs")):
+    # members and comparable pairs are refused before any chain is built,
+    # and the 6 maximal chains fit where their 25-face closure does not
+    for budget, counted in ((24, "closure"), (18, "comparable pairs"), (6, "comparable pairs")):
         monkeypatch.setattr(simplicial, "FACE_BUDGET", budget)
         with pytest.raises(ValueError, match=counted):
             order_complex(family)
@@ -218,9 +233,27 @@ def test_subdivide_involution_subdivides_the_box_complex(G):
     assert subdivide_involution(Z).complex == barycentric_subdivision(Z.complex)
 
 
-@pytest.mark.parametrize(
-    "Z", [two_points_z2(), antipodal_cycle_z2(4), antipodal_cycle_z2(6), octahedron_z2()]
-)
+NAMED_Z2 = [two_points_z2(), antipodal_cycle_z2(4), antipodal_cycle_z2(6), octahedron_z2()]
+
+
+def assert_passes_the_public_constructor(Z: Z2Complex) -> None:
+    # the public constructors check every face and the action on every face
+    assert Z == Z2Complex(SimplicialComplex(Z.complex.faces), Z.action)
+
+
+@pytest.mark.parametrize("G", connected_graph_corpus(5), ids=lambda G: G.descriptor())
+def test_order_complexes_and_suspensions_of_the_corpus_pass_the_public_constructor(G):
+    for Z in (subdivide_involution(box_complex(G)), z2_suspension(box_complex(G)), hom_k2_order_complex(G)):
+        assert_passes_the_public_constructor(Z)
+
+
+@pytest.mark.parametrize("Z", NAMED_Z2)
+def test_subdivisions_and_suspensions_of_named_complexes_pass_the_public_constructor(Z):
+    for out in (subdivide_involution(Z), z2_suspension(Z)):
+        assert_passes_the_public_constructor(out)
+
+
+@pytest.mark.parametrize("Z", NAMED_Z2)
 def test_subdivide_involution_stays_free(Z):
     # Z2Complex construction would raise if the result were not free
     out = subdivide_involution(Z)
@@ -455,6 +488,40 @@ def test_z2_complex_survives_a_json_round_trip(Z):
     K, action = complex_from_obj(json.loads(text))
     assert Z2Complex(K, action) == Z
     assert json.dumps(complex_to_obj(K, action)) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(free_z2_complexes())
+def test_subdivisions_and_suspensions_of_random_free_complexes_pass_the_public_constructor(Z):
+    for out in (subdivide_involution(Z), z2_suspension(Z)):
+        assert_passes_the_public_constructor(out)
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**300), max_value=10**300)
+    | st.floats()
+    | st.text(),
+    lambda inner: st.lists(inner)
+    | st.lists(st.integers() | st.booleans())
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner)
+    | st.dictionaries(st.integers(), inner, max_size=3),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_dumps_canonical_is_the_stdlib_layout(x):
+    assert simplicial.dumps_canonical(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_canonical_on_empty_containers_escapes_and_bools():
+    for x in ({}, [], (), {"a": {}, "b": []}, ["\n\"\\", "é☃\U0001f600"], [True, 1, False, 0, None]):
+        assert simplicial.dumps_canonical(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
 
 
 def dominated_vertices(facets) -> list[int]:
