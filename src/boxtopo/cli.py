@@ -46,7 +46,11 @@ def _load_graph(path: str) -> graphs.Graph:
 
 
 def _load_complex(path: str):
-    return simplicial.complex_from_obj(_parse_json(Path(path).read_text()))
+    """(K, action, gens): given an action, gens canonicalizes the file's
+    facets, which generate K, as they are read, once; else it is empty."""
+    given = _parse_json(Path(path).read_text())
+    K, action = simplicial.complex_from_obj(given)
+    return K, action, map(simplicial._canon_face, given.get("facets", []) if action else ())
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +105,10 @@ def cmd_complex(args: argparse.Namespace) -> int:
                 Z.complex, Z.action, builders.shore_vertex_records(Z, G.n)
             )
     elif kind in ("sd", "susp"):
-        K, action = _load_complex(args.input)
+        K, action, gens = _load_complex(args.input)
         if action is not None:
             op = simplicial.subdivide_involution if kind == "sd" else simplicial.z2_suspension
-            out = op(simplicial.Z2Complex(K, action))
+            out = op(simplicial.Z2Complex._generated(K, action, gens))
             obj = simplicial.complex_to_obj(out.complex, out.action)
         else:
             op = simplicial.barycentric_subdivision if kind == "sd" else simplicial.suspension
@@ -120,7 +124,7 @@ def cmd_complex(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_homology(args: argparse.Namespace) -> int:
-    K, _ = _load_complex(args.input)
+    K = _load_complex(args.input)[0]
     profile = homology.reduced_homology(K)
     if args.format == "table":
         _emit(str(profile) + "\n", args.output)
@@ -135,7 +139,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
 
 # complexes are bounded where they are built (simplicial.FACE_BUDGET) and
 # the coloring and isomorphism searches where they run (SEARCH_BUDGET)
-VERIFY_GUARD = 7  # `verify all --max-n 8` takes 80.5 s and 826 MB on a 2-vCPU VM
+VERIFY_GUARD = 7  # `verify all --max-n 8` takes 76-89 s and peaks at 110 MB on a 2-vCPU VM
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -226,9 +230,10 @@ def _fragment(obj) -> str:
     return dumps_canonical(obj)[:-1].replace("\n", "\n  ")
 
 
-def _outcome_records(jobs: list) -> list[list[tuple[str, str, bool, str]]]:
-    """Each (input, checks) job's outcomes as (check, input, passed, fragment)
-    records, where fragment is the outcome's JSON one level into a list.
+def _outcome_records(jobs: list, spill) -> list[list[tuple[str, str, bool, int, int]]]:
+    """Each (input, checks) job's outcomes as (check, input, passed, offset,
+    length) records: the outcome's JSON, one level into a list, appended to
+    the binary file `spill` at offset, or no JSON (both 0) with no spill.
 
     One Builds scope serves each input and is dropped before the next: its
     N(G), box facets, B(G), B0(G), Hom and H~(B(G)) are each built once,
@@ -237,25 +242,28 @@ def _outcome_records(jobs: list) -> list[list[tuple[str, str, bool, str]]]:
     results = []
     for x, checks in jobs:
         builds = builders.Builds()
-        outcomes = [getattr(bd, check)(x, builds=builds) for check in checks]
-        results.append([
-            (o.check, o.input, o.passed, _fragment(o.to_obj())) for o in outcomes
-        ])
+        records = []
+        for check in checks:
+            o = getattr(bd, check)(x, builds=builds)
+            at = spill.tell() if spill else 0
+            size = spill.write(_fragment(o.to_obj()).encode()) if spill else 0
+            records.append((o.check, o.input, o.passed, at, size))
+        results.append(records)
+    if spill:
+        spill.flush()
     return results
 
 
-def _run_checks_forked(jobs: list, workers: int) -> list[list]:
-    """_outcome_records over jobs in forked workers, merged in job order.
+def _run_checks_forked(jobs: list, spills: list) -> list[tuple]:
+    """_outcome_records in one forked worker per spill, as (spill, records) per job.
 
     Each worker takes the next job number from a shared pipe whenever it
     has finished one, so a worker slowed by other load on its CPU, or given
     the larger inputs, does not leave the rest waiting for it.  The inputs
     are inherited, never pickled (graphs and complexes refuse setattr, so
     they would not unpickle); only (job number, records) pairs, or the
-    exception a worker raised, come back.  The records are plain tuples of
-    strings and booleans, as the JSON of each outcome is written in the
-    worker.  Every worker is reaped before this returns, and on any error
-    the ones still running are killed.
+    exception a worker raised, come back: the JSON stays in its spill.
+    Every worker is reaped before this returns; on any error the rest die.
     """
     import pickle
     import signal
@@ -263,7 +271,7 @@ def _run_checks_forked(jobs: list, workers: int) -> list[list]:
     running: dict = {}  # pid -> read end of its pipe, until reaped
     todo_r, todo_w = os.pipe()  # job numbers, 4 bytes each
     try:
-        for _ in range(workers):
+        for spill in spills:
             r, wr = os.pipe()
             pid = os.fork()
             if pid == 0:  # the worker never returns into the caller's stack
@@ -277,7 +285,7 @@ def _run_checks_forked(jobs: list, workers: int) -> list[list]:
                         # atomic pipe transfer), so it goes to one worker only
                         while number := os.read(todo_r, 4):
                             i = int.from_bytes(number, "little")
-                            done.append((i, _outcome_records([jobs[i]])[0]))
+                            done.append((i, _outcome_records([jobs[i]], spill)[0]))
                         reply = (None, done)
                     except BaseException as exc:  # re-raised in the parent
                         reply = (exc, None)
@@ -298,7 +306,7 @@ def _run_checks_forked(jobs: list, workers: int) -> list[list]:
         os.close(todo_w)
         todo_w = -1
         results: list = [None] * len(jobs)
-        for pid in list(running):
+        for pid, spill in zip(list(running), spills):  # forked in spill order
             with running[pid] as pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
@@ -311,8 +319,8 @@ def _run_checks_forked(jobs: list, workers: int) -> list[list]:
             exc, done = pickle.loads(data)
             if exc is not None:
                 raise exc
-            for i, outcomes in done:
-                results[i] = outcomes
+            for i, records in done:
+                results[i] = (spill, records)
         return results
     finally:
         for fd in (todo_r, todo_w):
@@ -328,15 +336,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Run a suite (or all of them) over the corpus and write its outcomes.
 
     Each job's records come from _outcome_records, run in forked workers
-    when more than one CPU is usable and in this process otherwise.  The
-    records are sorted stably by (check, input) and their fragments
-    joined into the bytes dumps_canonical would give for the list of
-    outcomes.
+    when more than one CPU is usable and in this process otherwise, with
+    the JSON spilled to unlinked temporary files.  The records are sorted
+    stably by (check, input) and each fragment copied from its spill to
+    the output between the separators of dumps_canonical's list layout.
     """
     if args.suite == "nbhd-search":
         if args.target is None or args.n is None:
             raise ValueError("verify nbhd-search needs --n and --target FILE")
-        K, _ = _load_complex(args.target)
+        K = _load_complex(args.target)[0]
         found = bd.neighborhood_realizability_search(K, args.n)
         obj = {
             "check": "nbhd-search",
@@ -349,6 +357,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             _emit(dumps_canonical(obj), args.output)
         return 0
+
+    import contextlib
+    import tempfile
 
     if args.max_n < 0:
         raise ValueError(f"--max-n must be at least 0, not {args.max_n}")
@@ -370,23 +381,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # workers, one per usable CPU; the merge keeps the serial order, so tied
     # sort keys come out as they would in one process
     jobs = list(checks_by_input.items())
-    workers = min(_usable_cpus(), len(jobs))
-    if workers > 1 and hasattr(os, "fork"):
-        per_job = _run_checks_forked(jobs, workers)
-    else:
-        per_job = _outcome_records(jobs)
-    records = [r for job in per_job for r in job]
-    records.sort(key=lambda r: (r[0], r[1]))
-    if args.format == "table":
-        lines = [
-            f"{'PASS' if passed else 'FAIL'}  {check:24s} {x}"
-            for check, x, passed, _ in records
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
-    elif records:
-        _emit("[\n  " + ",\n  ".join(r[3] for r in records) + "\n]\n", args.output)
-    else:
-        _emit(dumps_canonical([]), args.output)
+    workers = max(1, min(_usable_cpus(), len(jobs))) if hasattr(os, "fork") else 1
+    with contextlib.ExitStack() as stack:
+        spills = [None] * workers
+        if args.format == "json":
+            spills = [stack.enter_context(tempfile.TemporaryFile()) for _ in spills]
+        if workers > 1:
+            per_job = _run_checks_forked(jobs, spills)
+        else:
+            per_job = [(spills[0], job) for job in _outcome_records(jobs, spills[0])]
+        records = sorted(((*r, s) for s, job in per_job for r in job), key=lambda r: r[:2])
+        if args.format == "table":
+            lines = [f"{'PASS' if r[2] else 'FAIL'}  {r[0]:24s} {r[1]}" for r in records]
+            _emit("\n".join(lines) + "\n", args.output)
+        else:
+            out = stack.enter_context(open(args.output, "w")) if args.output else sys.stdout
+            for k, (*_, at, size, spill) in enumerate(records):
+                spill.seek(at)
+                out.write((",\n  " if k else "[\n  ") + spill.read(size).decode())
+            out.write("\n]\n" if records else "[]\n")
     return 0 if all(r[2] for r in records) else 1
 
 

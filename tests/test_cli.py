@@ -7,15 +7,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from boxtopo import bounds as bd
-from boxtopo import cli, simplicial
+from boxtopo import cli, graphs, simplicial
 from boxtopo.cli import main
-from boxtopo.graphs import graph_from_obj, kneser_graph
+from boxtopo.graphs import connected_graph_corpus, graph_from_obj, kneser_graph
 from boxtopo.simplicial import complex_from_obj, from_facets
 
 
@@ -367,12 +369,83 @@ def test_a_free_worker_takes_the_jobs_a_busy_one_has_not_reached(tmp_path, monke
         return bd.VerificationOutcome("ordered", str(x), True, details)
 
     monkeypatch.setattr(bd, "ordered_check", check, raising=False)
-    results = cli._run_checks_forked([(x, ["ordered_check"]) for x in range(n)], 2)
-    assert [r[0][1] for r in results] == [str(x) for x in range(n)]
-    first, *rest = (json.loads(r[0][3])["details"] for r in results)
+    with tempfile.TemporaryFile() as a, tempfile.TemporaryFile() as b:
+        results = cli._run_checks_forked([(x, ["ordered_check"]) for x in range(n)], [a, b])
+        assert [job[0][1] for _, job in results] == [str(x) for x in range(n)]
+        # each record locates its outcome's JSON in the spill of its worker
+        fragments = [os.pread(spill.fileno(), job[0][4], job[0][3]) for spill, job in results]
+    first, *rest = (json.loads(f)["details"] for f in fragments)
     assert first["seen"] == n - 1
     assert first["pid"] not in {d["pid"] for d in rest}
     assert_no_worker_left()
+
+
+def test_the_parent_holds_the_records_not_the_output(tmp_path, monkeypatch):
+    # from --max-n 5 to 6 the output grows from 0.19 to 1.19 MB; the
+    # fragments stay in the workers' spill files, so the parent's traced
+    # peak grows by the records alone.  The corpus is the input, and
+    # building it grows the peak by about 0.5 MB on its own, so it is built
+    # before the trace starts, as is the parser
+    corpora = {n: connected_graph_corpus(n) for n in (0, 5, 6)}
+    monkeypatch.setattr(graphs, "connected_graph_corpus", corpora.__getitem__)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert run(tmp_path, "verify", "cone", "--max-n", "0", "-o", str(tmp_path / "warm.json")) == 0
+    peaks, sizes = [], []
+    for n in (5, 6):
+        out = tmp_path / f"v{n}.json"
+        tracemalloc.start()
+        try:
+            assert run(tmp_path, "verify", "all", "--max-n", str(n), "-o", str(out)) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(out.stat().st_size)
+    assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 2, (peaks, sizes)
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_check_leaves_no_spill_file(tmp_path, capsys, monkeypatch, workers):
+    def broken(x, builds=None):
+        raise ValueError("broken check")
+
+    spills = tmp_path / "spills"
+    spills.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spills))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(bd, "verify_shore_retract", broken)
+    assert run(tmp_path, "verify", "all", "--max-n", "5", "-o", str(tmp_path / "v.json")) == 2
+    assert capsys.readouterr().err == "error: broken check\n"
+    assert list(spills.iterdir()) == []
+    assert not (tmp_path / "v.json").exists()
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_streams_the_pinned_bytes_to_stdout(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    assert run(tmp_path, "verify", "all", "--max-n", "5") == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_DIGESTS["verify"]
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("kind", ["sd", "susp"])
+def test_a_loaded_involution_is_checked_on_the_files_facets(tmp_path, capsys, kind):
+    op = simplicial.subdivide_involution if kind == "sd" else simplicial.z2_suspension
+    swap = {0: 2, 2: 0, 1: 3, 3: 1}
+    Z = op(simplicial.Z2Complex(from_facets([[0, 1], [2, 3]]), simplicial.Involution(swap)))
+    expected = simplicial.dumps_canonical(simplicial.complex_to_obj(Z.complex, Z.action))
+    f, out = tmp_path / "z.json", tmp_path / "out.json"
+    # a non-maximal facet and a repeated vertex leave the complex as it was
+    for facets in ([[0, 1], [0], [2, 3]], [[0, 1, 1], [3, 2, 2]]):
+        f.write_text(json.dumps({"facets": facets, "involution": {"map": swap}}))
+        assert run(tmp_path, "complex", kind, str(f), "-o", str(out)) == 0
+        assert out.read_text() == expected
+    f.write_text(json.dumps({"facets": [[0, 1], [2]], "involution": {"map": {0: 1, 1: 0, 2: 2}}}))
+    assert run(tmp_path, "complex", kind, str(f)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: action is not free")
 
 
 def test_importing_boxtopo_leaves_multiprocessing_out():

@@ -468,6 +468,35 @@ def test_generator_validation_agrees_with_face_validation():
     assert seen == {None, *REJECTIONS}
 
 
+def test_generator_validation_agrees_on_the_corpus_files_and_the_named_complexes():
+    # what `complex sd` and `complex susp` read: the files `complex box`,
+    # `box0` and `hom` write for the n <= 5 corpus, and the named complexes,
+    # each with its own action, that action conjugated by a transposition,
+    # and the vertices paired up in order
+    zs = [*NAMED_Z2]
+    for G in connected_graph_corpus(5):
+        zs += [box_complex(G), box0_complex(G), hom_k2_order_complex(G)]
+    verdicts = set()
+    for Z in zs:
+        obj = complex_to_obj(Z.complex, Z.action)
+        K, action = complex_from_obj(obj)
+        d, vs = action.as_dict(), list(K.vertices)
+        maps = [d]
+        for b in vs[1:3]:
+            t = {vs[0]: b, b: vs[0]}
+            maps.append({t.get(v, v): t.get(w, w) for v, w in d.items()})
+        if len(vs) % 2 == 0:
+            maps.append({v: vs[i ^ 1] for i, v in enumerate(vs)})
+        facets = {simplicial._canon_face(f) for f in obj["facets"]}
+        for m in maps:
+            a = Involution(m)
+            by_face = rejection(lambda: Z2Complex(K, a))
+            by_generator = rejection(lambda: Z2Complex._generated(K, a, facets))
+            assert (by_face is None) == (by_generator is None), (obj["facets"], m)
+            verdicts.add(by_face is None)
+    assert verdicts == {True, False}
+
+
 @st.composite
 def free_z2_complexes(draw):
     """Orbit i is the vertex pair {2i, 2i + 1}; a face takes at most one
